@@ -1,7 +1,8 @@
 // Benchmarks mirroring the paper's evaluation: one testing.B target per
-// reconstructed table/figure (E1-E20, see DESIGN.md), plus per-policy
-// scheduling micro-benchmarks. Each iteration executes a reduced-scale
-// version of the experiment; `cmd/dasbench` runs the full-scale tables.
+// reconstructed table/figure (E1-E11 and E13-E20, see DESIGN.md), plus
+// per-policy scheduling micro-benchmarks. Each iteration executes a
+// reduced-scale version of the experiment; `cmd/dasbench` runs the
+// full-scale tables.
 package daskv_test
 
 import (
@@ -103,9 +104,6 @@ func BenchmarkE11PolicyOverhead(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkE12LiveStore runs the live-cluster validation (shortened).
-func BenchmarkE12LiveStore(b *testing.B) { runExperiment(b, "E12") }
 
 // BenchmarkE13Optimality regenerates the optimality-gap comparison.
 func BenchmarkE13Optimality(b *testing.B) { runExperiment(b, "E13") }

@@ -1,5 +1,5 @@
 // Command dasbench regenerates the paper's evaluation tables and
-// figures (E1-E20, see DESIGN.md for the mapping).
+// figures (E1-E11 and E13-E20, see DESIGN.md for the mapping).
 //
 // Usage:
 //
@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"github.com/daskv/daskv/internal/bench"
-	"github.com/daskv/daskv/internal/cli"
 )
 
 func main() {
@@ -30,18 +28,14 @@ func main() {
 
 func run() error {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment IDs (E1..E20) or 'all'")
-		servers   = flag.Int("servers", 16, "cluster size")
-		requests  = flag.Int("requests", 30000, "requests per simulation run")
-		seeds     = flag.Int("seeds", 3, "independent seeds averaged per data point")
-		seed      = flag.Uint64("seed", 1, "base RNG seed")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		outDir    = flag.String("out", "", "also write each experiment's output to <dir>/<ID>.txt")
-		liveDur   = flag.Duration("live", 0, "wall-clock duration per live-store policy run (default 6s)")
-		liveRate  = flag.String("live-rate", "", "pace live clients to this total offered rate in req/s (k/M suffixes); empty = pure closed loop")
-		liveJSON  = flag.String("live-json", "", "run only the live-store benchmark and write JSON results to this path")
-		liveGate  = flag.Float64("live-gate", 0, "run the live tail-latency gate: fail unless DAS p99 <= this ratio x FCFS p99 (0 disables)")
-		liveSizes = flag.Bool("live-sizes", false, "use the heavy-tailed Pareto value-size mix for -live-gate: compare small-op p99 of DAS with split pools vs FCFS")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment IDs (see -list) or 'all'")
+		servers  = flag.Int("servers", 16, "cluster size")
+		requests = flag.Int("requests", 30000, "requests per simulation run")
+		seeds    = flag.Int("seeds", 3, "independent seeds averaged per data point")
+		seed     = flag.Uint64("seed", 1, "base RNG seed")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		outDir   = flag.String("out", "", "also write each experiment's output to <dir>/<ID>.txt")
+		liveDur  = flag.Duration("live", 0, "wall-clock duration per live-store policy run in E19/E20 (default 6s)")
 	)
 	flag.Parse()
 
@@ -58,25 +52,6 @@ func run() error {
 		Seeds:    *seeds,
 		Seed:     *seed,
 		Live:     *liveDur,
-	}
-	if *liveRate != "" {
-		rate, err := cli.ParseRate(*liveRate)
-		if err != nil {
-			return fmt.Errorf("-live-rate: %w", err)
-		}
-		params.LiveRate = rate
-	}
-	if *liveJSON != "" {
-		return writeLiveJSON(params, *liveJSON)
-	}
-	if *liveGate > 0 {
-		if *liveSizes {
-			return bench.RunLiveSizedGate(params, os.Stdout, *liveGate, 1)
-		}
-		return bench.RunLiveGate(params, os.Stdout, *liveGate, 1)
-	}
-	if *liveSizes {
-		return fmt.Errorf("-live-sizes requires -live-gate to set a ratio")
 	}
 	var selected []bench.Experiment
 	if *expFlag == "all" {
@@ -119,51 +94,5 @@ func run() error {
 		}
 		fmt.Printf("(%s completed in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// writeLiveJSON runs the live loopback benchmark and writes the
-// per-policy results as a benchstat-friendly JSON document.
-func writeLiveJSON(params bench.Params, path string) error {
-	start := time.Now()
-	results, err := bench.RunLiveJSON(params)
-	if err != nil {
-		return err
-	}
-	sized, err := bench.RunLiveSizedJSON(params)
-	if err != nil {
-		return err
-	}
-	uniformPools, err := bench.RunLiveUniformPoolsJSON(params)
-	if err != nil {
-		return err
-	}
-	doc := struct {
-		Benchmark        string                  `json:"benchmark"`
-		Note             string                  `json:"note"`
-		Results          []bench.LiveResult      `json:"results"`
-		SizedNote        string                  `json:"sized_note"`
-		SizedResults     []bench.LiveSizedResult `json:"sized_results"`
-		UniformPoolsNote string                  `json:"uniform_pools_note"`
-		UniformPools     []bench.LiveResult      `json:"uniform_pools_results"`
-	}{
-		Benchmark:        "live-store multiget RCT",
-		Note:             "4 loopback servers, 24 closed-loop multiget clients; per-server batch frames (wire v3)",
-		Results:          results,
-		SizedNote:        "E23: heavy-tailed mix — Zipf(0.9) keys, Pareto value sizes (1KiB..4MiB, a=0.5), single-key gets, per-op-size latency split at 64KiB",
-		SizedResults:     sized,
-		UniformPoolsNote: "uniform-size E22 workload with the size-class split enabled (2 workers/server both sides): the split must cost nothing when every value is small",
-		UniformPools:     uniformPools,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("(live benchmark completed in %v, wrote %s)\n",
-		time.Since(start).Round(time.Millisecond), path)
 	return nil
 }

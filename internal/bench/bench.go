@@ -1,7 +1,7 @@
 // Package bench is the evaluation harness: one experiment per
 // reconstructed table/figure of the paper (see DESIGN.md for the
 // mapping). Each experiment runs the simulator (or the live store, for
-// E12) across policies and prints the table the paper would plot.
+// E19 and E20) across policies and prints the table the paper would plot.
 package bench
 
 import (
@@ -29,14 +29,9 @@ type Params struct {
 	Seeds int
 	// Seed is the base RNG seed (default 1).
 	Seed uint64
-	// Live is the wall-clock duration of each live-store (E12) run
-	// (default 6s).
+	// Live is the wall-clock duration of each live-store run in the
+	// chaos (E19) and replication (E20) experiments (default 6s).
 	Live time.Duration
-	// LiveRate, when positive, paces the live clients to this total
-	// offered rate (req/s) on a fixed per-client schedule instead of the
-	// pure closed loop; latency is still charged from each request's
-	// intended slot, so falling behind the schedule shows in the tail.
-	LiveRate float64
 }
 
 func (p Params) withDefaults() Params {
@@ -82,7 +77,6 @@ func All() []Experiment {
 		{ID: "E9", Title: "Time-varying load and speed (Fig: adaptivity over time)", Run: runE9},
 		{ID: "E10", Title: "DAS ablation (design choices)", Run: runE10},
 		{ID: "E11", Title: "Scheduling overhead (Table: ns/op)", Run: runE11},
-		{ID: "E12", Title: "Live-store validation (extension)", Run: runE12},
 		{ID: "E13", Title: "Distance to optimal / centralized information", Run: runE13},
 		{ID: "E14", Title: "Cluster-size scaling", Run: runE14},
 		{ID: "E15", Title: "Workload presets", Run: runE15},
@@ -91,7 +85,6 @@ func All() []Experiment {
 		{ID: "E18", Title: "Preemption ablation", Run: runE18},
 		{ID: "E19", Title: "Chaos resilience: crash/restart under load (extension)", Run: runE19},
 		{ID: "E20", Title: "Replication: adaptive replica selection and crash masking (extension)", Run: runE20},
-		{ID: "E23", Title: "Heavy-tailed value sizes: size-class worker pools (extension)", Run: runE23},
 	}
 	sort.Slice(exps, func(i, j int) bool { return idOrder(exps[i].ID) < idOrder(exps[j].ID) })
 	return exps
@@ -301,11 +294,6 @@ func header(w io.Writer, id, title, note string) {
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond))
-}
-
-// us renders a duration in microseconds, the natural unit for send lag.
-func us(d time.Duration) string {
-	return fmt.Sprintf("%.0fus", float64(d)/float64(time.Microsecond))
 }
 
 // gain formats the relative reduction of b versus a ("x% better").

@@ -14,7 +14,15 @@ import (
 	"github.com/daskv/daskv/internal/kv"
 	"github.com/daskv/daskv/internal/metrics"
 	"github.com/daskv/daskv/internal/sched"
+	"github.com/daskv/daskv/internal/wire"
 )
+
+// liveCost derives a per-op service demand from the key length so client
+// and server agree on demands without a side channel: keys are padded by
+// the workload driver to encode 1..6ms.
+func liveCost(_ wire.OpType, keyLen, _ int) time.Duration {
+	return time.Duration(keyLen%11+2) * 500 * time.Microsecond
+}
 
 // runE19 measures resilience rather than scheduling quality: a loopback
 // cluster loses one server mid-run and gets it back (restarted from

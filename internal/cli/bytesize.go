@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -36,17 +37,17 @@ func ParseByteSize(spec string) (dist.ByteSize, error) {
 		}
 		lo, ok1 := parseBytes(parts[1])
 		hi, ok2 := parseBytes(parts[2])
-		a, err := strconv.ParseFloat(parts[3], 64)
-		if err == nil && ok1 && ok2 && hi >= lo && a > 0 {
+		a, ok3 := parsePositive(parts[3])
+		if ok1 && ok2 && ok3 && hi >= lo {
 			return dist.ParetoBytes{Lo: lo, Hi: hi, Alpha: a}, nil
 		}
 	case "lognorm":
 		if len(parts) != 3 && len(parts) != 4 {
 			return bad()
 		}
-		m, ok := parseBytes(parts[1])
-		sig, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || !ok || sig <= 0 {
+		m, ok1 := parseBytes(parts[1])
+		sig, ok2 := parsePositive(parts[2])
+		if !ok1 || !ok2 {
 			return bad()
 		}
 		var c int64
@@ -75,7 +76,7 @@ func parseBytes(s string) (int64, bool) {
 		mult, s = 1<<30, strings.TrimSuffix(s, "GiB")
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
 		return 0, false
 	}
 	return n * mult, true

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -23,11 +24,21 @@ func ParseRate(s string) (float64, error) {
 	case strings.HasSuffix(s, "M"):
 		mult, s = 1e6, s[:len(s)-1]
 	}
-	r, err := strconv.ParseFloat(s, 64)
-	if err != nil || r <= 0 {
+	r, ok := parsePositive(s)
+	if !ok || math.IsInf(r*mult, 0) {
 		return 0, fmt.Errorf("cli: bad rate %q (want a positive number, optionally with a k or M suffix)", orig)
 	}
 	return r * mult, nil
+}
+
+// parsePositive parses a finite, strictly positive float. strconv
+// accepts "NaN" and "Inf", and NaN slips past a plain <= 0 test.
+func parsePositive(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(f > 0) || math.IsInf(f, 0) {
+		return 0, false
+	}
+	return f, true
 }
 
 // ParseRates parses a comma-separated ascending list of rates

@@ -28,7 +28,7 @@ func TestParseRate(t *testing.T) {
 			t.Fatalf("ParseRate(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "0", "-5", "5q", "k", "1.2.3", "5 k"} {
+	for _, bad := range []string{"", "0", "-5", "5q", "k", "1.2.3", "5 k", "NaN", "NaNk", "Inf", "+Inf", "infM", "1e308M"} {
 		if _, err := ParseRate(bad); err == nil {
 			t.Fatalf("ParseRate(%q) should error", bad)
 		}

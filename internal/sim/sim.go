@@ -89,9 +89,9 @@ type Config struct {
 	// arrivals to N closed-loop request slots: each slot issues its
 	// next multiget when the previous one completes (plus ThinkTime).
 	// Workload.RatePerSec is ignored; total requests still honors
-	// Requests. This is the regime interactive benchmarks (and E12's
-	// live driver) run in, where throughput self-throttles and
-	// scheduling moves the latency distribution rather than its mean.
+	// Requests. This is the regime interactive benchmarks run in, where
+	// throughput self-throttles and scheduling moves the latency
+	// distribution rather than its mean.
 	ClosedLoop int
 	// ThinkTime is the per-slot gap between completing one request and
 	// issuing the next (closed loop only; default 0).

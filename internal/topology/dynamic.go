@@ -136,7 +136,7 @@ func (r *Ring) Ownership() map[sched.ServerID]float64 {
 	if n == 0 {
 		return out
 	}
-	const space = float64(1 << 63) * 2 // 2^64 without overflow
+	const space = float64(1<<63) * 2 // 2^64 without overflow
 	for i := 0; i < n; i++ {
 		// The vnode at hashes[i] owns the arc (hashes[i-1], hashes[i]];
 		// the first vnode additionally owns the wraparound arc.
