@@ -52,8 +52,7 @@ func run() error {
 		workers     = flag.Int("workers", 1, "worker pool size")
 		baseCost    = flag.Duration("cost", 0, "synthetic per-op service cost (0 = none); value bytes add cost/KiB")
 		speed       = flag.Float64("speed", 1.0, "speed factor (0.5 = half-speed server)")
-		dataPath    = flag.String("data", "", "snapshot file: loaded at startup, written on shutdown")
-		walDir      = flag.String("wal", "", "write-ahead-log directory: mutations are durable before acknowledgement, crash recovery replays at startup (mutually exclusive with -data)")
+		walDir      = flag.String("wal", "", "write-ahead-log directory: mutations are durable before acknowledgement, crash recovery replays at startup, a graceful shutdown compacts the log into one snapshot (empty = in-memory only)")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always | batch[:<window>] | coalesce[:<window>] | none (coalesce folds a window's mutations to one record per distinct key; writes ack at window close)")
 		walSegSize  = flag.Int64("wal-segment-size", 16<<20, "WAL segment size in bytes before rotation")
 		sweep       = flag.Duration("sweep", 30*time.Second, "how often expired keys are reclaimed (0 = default, negative = never)")
@@ -120,7 +119,6 @@ func run() error {
 		Workers:        *workers,
 		Cost:           cost,
 		SpeedFactor:    *speed,
-		DataPath:       *dataPath,
 		WALDir:         *walDir,
 		WALSync:        syncPolicy,
 		WALSegmentSize: *walSegSize,

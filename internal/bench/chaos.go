@@ -14,6 +14,7 @@ import (
 	"github.com/daskv/daskv/internal/kv"
 	"github.com/daskv/daskv/internal/metrics"
 	"github.com/daskv/daskv/internal/sched"
+	"github.com/daskv/daskv/internal/wal"
 	"github.com/daskv/daskv/internal/wire"
 )
 
@@ -25,8 +26,8 @@ func liveCost(_ wire.OpType, keyLen, _ int) time.Duration {
 }
 
 // runE19 measures resilience rather than scheduling quality: a loopback
-// cluster loses one server mid-run and gets it back (restarted from
-// snapshot) two thirds in. Clients run with per-request deadlines and
+// cluster loses one server mid-run and gets it back (recovered from its
+// write-ahead log) two thirds in. Clients run with per-request deadlines and
 // read retries; the table reports how much traffic completed cleanly,
 // how much degraded to partial results, and whether the deadline
 // ceiling held through the outage.
@@ -84,11 +85,12 @@ func runChaosOnce(factory sched.Factory, adaptive bool, runFor time.Duration) (*
 
 	mkServer := func(i int, addr string) (*kv.Server, error) {
 		return kv.NewServer(kv.ServerConfig{
-			ID:       sched.ServerID(i),
-			Addr:     addr,
-			Policy:   factory,
-			Cost:     liveCost,
-			DataPath: fmt.Sprintf("%s/server%d.snap", dir, i),
+			ID:      sched.ServerID(i),
+			Addr:    addr,
+			Policy:  factory,
+			Cost:    liveCost,
+			WALDir:  fmt.Sprintf("%s/server%d", dir, i),
+			WALSync: wal.SyncPolicy{Mode: wal.SyncNone},
 		})
 	}
 	srvs := make([]*kv.Server, servers)
@@ -172,8 +174,9 @@ func runChaosOnce(factory sched.Factory, adaptive bool, runFor time.Duration) (*
 		}()
 	}
 
-	// The fault script: kill server 0 a third in, restart it from its
-	// snapshot two thirds in.
+	// The fault script: stop server 0 a third in, restart it two thirds
+	// in. The graceful Close compacted its log, so the restart loads one
+	// snapshot.
 	victimAddr := addrs[srvs[0].ID()]
 	time.Sleep(runFor / 3)
 	_ = srvs[0].Close()

@@ -173,7 +173,7 @@ const calClamp = 64.0
 // observation so speed corrections (Observe) and demand corrections
 // compose instead of double-counting. Callers must not feed shed or
 // errored responses here — a zero or negative duration on either side
-// is ignored, which also covers v2 peers that report no Timing block.
+// is ignored, which also covers shed ops that report zero service.
 func (e *Estimator) ObserveService(server sched.ServerID, predicted, actual time.Duration) {
 	if e.cfg.CalibrationGain <= 0 || predicted <= 0 || actual <= 0 {
 		return

@@ -69,13 +69,13 @@ func TestRecalibrationFirstObservationAdopted(t *testing.T) {
 }
 
 // TestRecalibrationIgnoresDegenerateInputs asserts robustness to the
-// signals a live client must not learn from: v2 peers report no Timing
-// block (zero service), shed operations report zero service, and a
-// zero predicted demand would divide away the signal entirely.
+// signals a live client must not learn from: shed operations report
+// zero service, and a zero predicted demand would divide away the
+// signal entirely.
 func TestRecalibrationIgnoresDegenerateInputs(t *testing.T) {
 	e := mustEstimator(t, DefaultEstimatorConfig())
 	e.ObserveService(1, 0, time.Millisecond)              // zero predicted
-	e.ObserveService(1, time.Millisecond, 0)              // v2 peer / shed: no Timing
+	e.ObserveService(1, time.Millisecond, 0)              // shed: zero service
 	e.ObserveService(1, -time.Millisecond, time.Second)   // negative predicted
 	e.ObserveService(1, time.Millisecond, -3*time.Second) // negative actual
 	if got := e.CalibrationRatio(1); got != 1 {

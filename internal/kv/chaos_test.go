@@ -18,6 +18,7 @@ import (
 
 	"github.com/daskv/daskv/internal/fault"
 	"github.com/daskv/daskv/internal/sched"
+	"github.com/daskv/daskv/internal/wal"
 	"github.com/daskv/daskv/internal/wire"
 )
 
@@ -43,8 +44,8 @@ func restartServer(t *testing.T, cfg ServerConfig, addr string) *Server {
 // server of two is killed mid-multiget. The client must return every
 // key the surviving server holds plus per-key errors for the dead
 // server's keys — within the request deadline — the estimator must
-// quarantine the corpse, and a restart from snapshot must restore both
-// the data and the routing.
+// quarantine the corpse, and a restart from its write-ahead log must
+// restore both the data and the routing.
 func TestMultigetPartialOnServerCrash(t *testing.T) {
 	cost := func(wire.OpType, int, int) time.Duration { return 10 * time.Millisecond }
 	dir := t.TempDir()
@@ -53,10 +54,11 @@ func TestMultigetPartialOnServerCrash(t *testing.T) {
 	cfgs := make([]ServerConfig, 2)
 	for i := 0; i < 2; i++ {
 		cfgs[i] = ServerConfig{
-			ID:       sched.ServerID(i),
-			Addr:     "127.0.0.1:0",
-			Cost:     cost,
-			DataPath: fmt.Sprintf("%s/server%d.snap", dir, i),
+			ID:      sched.ServerID(i),
+			Addr:    "127.0.0.1:0",
+			Cost:    cost,
+			WALDir:  fmt.Sprintf("%s/server%d", dir, i),
+			WALSync: wal.SyncPolicy{Mode: wal.SyncNone},
 		}
 		srv, err := NewServer(cfgs[i])
 		if err != nil {
@@ -165,7 +167,7 @@ func TestMultigetPartialOnServerCrash(t *testing.T) {
 		t.Fatal("estimator did not mark the crashed server down")
 	}
 
-	// Restart from snapshot: data and routing both recover.
+	// Restart from the log: data and routing both recover.
 	srv2 := restartServer(t, cfgs[0], addrs[victim])
 	t.Cleanup(func() { _ = srv2.Close() })
 	recoverCtx, rcancel := context.WithTimeout(ctx, 5*time.Second)
@@ -189,12 +191,16 @@ func TestMultigetPartialOnServerCrash(t *testing.T) {
 	}
 }
 
-// TestAckedWritesSurviveRestart crashes a server under a concurrent
+// TestAckedWritesSurviveRestart stops a server under a concurrent
 // write storm and checks the durability invariant: every write the
-// client saw acknowledged is present after a restart from snapshot.
+// client saw acknowledged is present after a restart. The log runs
+// unsynced, so the graceful close's compaction is what carries the
+// writes across.
 func TestAckedWritesSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ServerConfig{ID: 0, Addr: "127.0.0.1:0", DataPath: dir + "/acked.snap"}
+	cfg := ServerConfig{
+		ID: 0, Addr: "127.0.0.1:0",
+		WALDir: t.TempDir(), WALSync: wal.SyncPolicy{Mode: wal.SyncNone},
+	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -175,11 +175,6 @@ type ClientConfig struct {
 	// default of 64; negative disables tracing). Each retained trace
 	// costs one OpTrace per operation.
 	TraceDepth int
-	// ProtocolVersion pins the wire protocol the client speaks (0 =
-	// current, wire.Version). Pin wire.Version2 to interoperate with
-	// pre-batching servers: multiget batches then degrade to runs of
-	// single-op v2 frames that still share one flush per server.
-	ProtocolVersion int
 	// MaxBatchOps caps how many operations ride in one batch frame
 	// (default DefaultMaxBatchOps, hard-capped at wire.MaxBatchOps).
 	// Larger per-server groups split into several frames.
@@ -301,13 +296,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 5 * time.Millisecond
 	}
-	switch cfg.ProtocolVersion {
-	case 0:
-		cfg.ProtocolVersion = wire.Version
-	case wire.Version2, wire.Version3, wire.Version4:
-	default:
-		return nil, fmt.Errorf("kv: unsupported protocol version %d", cfg.ProtocolVersion)
-	}
 	if cfg.DefaultConsistency > wire.ConsistencyAll {
 		return nil, fmt.Errorf("kv: unknown consistency level %d", cfg.DefaultConsistency)
 	}
@@ -428,9 +416,8 @@ func (c *Client) noteServerFailure(id sched.ServerID) {
 // actual service, so tags converge toward true service times even when
 // the configured demand model is wrong. Only genuinely served
 // operations teach — shed ops (ServiceNanos 0) and server errors carry
-// no service-time signal, and v2 peers that report no Timing block are
-// ignored. NotFound and CASMismatch are real service — full lookups
-// that merely found nothing to change — so they count.
+// no service-time signal. NotFound and CASMismatch are real service —
+// full lookups that merely found nothing to change — so they count.
 func (c *Client) observeService(server sched.ServerID, predicted time.Duration, tm wire.Timing, status wire.Status, sizeBytes int64) {
 	if !c.cfg.Adaptive || tm.ServiceNanos <= 0 {
 		return
@@ -564,7 +551,9 @@ func (c *Client) CompareAndSwap(ctx context.Context, key string, oldValue, newVa
 	}
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	resp, err := c.doCAS(ctx, key, oldValue, newValue)
+	resp, err := c.send(ctx, c.ring.Lookup(key), wire.Request{
+		Type: wire.OpCAS, Key: key, Value: newValue, OldValue: oldValue,
+	})
 	if err != nil {
 		return err
 	}
@@ -581,28 +570,32 @@ func (c *Client) CompareAndSwap(ctx context.Context, key string, oldValue, newVa
 // Incr atomically adds delta to the integer counter stored under key
 // (absent = 0, stored as ASCII decimal, so Get interoperates) and
 // returns the new total. Like CAS it is a read-modify-write, so it is
-// restricted to single-replica configurations, and it needs protocol
-// v4 on the wire. On servers running the `coalesce` WAL sync policy a
-// hot counter's increments fold into one log record per commit window,
-// so disk bytes track distinct keys rather than increments.
+// restricted to single-replica configurations. On servers running the
+// `coalesce` WAL sync policy a hot counter's increments fold into one
+// log record per commit window, so disk bytes track distinct keys
+// rather than increments. A total that would overflow int64 fails the
+// op without mutating.
 func (c *Client) Incr(ctx context.Context, key string, delta int64) (int64, error) {
 	return c.IncrTTL(ctx, key, delta, 0)
 }
 
 // IncrTTL is Incr with an expiry restamp (0 = keep forever), the
-// shape rate-limit windows want.
+// shape rate-limit windows want. A negative ttl is rejected, as PutTTL
+// rejects it.
 func (c *Client) IncrTTL(ctx context.Context, key string, delta int64, ttl time.Duration) (int64, error) {
+	if ttl < 0 {
+		return 0, fmt.Errorf("kv: negative ttl %v", ttl)
+	}
 	if c.cfg.Replicas > 1 {
 		return 0, fmt.Errorf("kv: Incr requires a single-replica configuration (have %d)", c.cfg.Replicas)
-	}
-	if c.cfg.ProtocolVersion < wire.Version4 {
-		return 0, fmt.Errorf("kv: Incr requires protocol v4 (client pinned to v%d)", c.cfg.ProtocolVersion)
 	}
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(delta))
-	resp, err := c.doTTL(ctx, wire.OpIncr, key, buf[:], c.ring.Lookup(key), ttl, 0, wire.ConsistencyDefault)
+	resp, err := c.send(ctx, c.ring.Lookup(key), wire.Request{
+		Type: wire.OpIncr, Key: key, Value: buf[:], TTLNanos: int64(ttl),
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -782,16 +775,15 @@ func (c *Client) Delete(ctx context.Context, key string) error {
 // Replicated puts are stamped with one last-writer-wins version from
 // the client's clock, so partial fan-outs reconcile deterministically
 // under read-repair. It reports whether any replica answered StatusOK.
-func (c *Client) fanoutWrite(ctx context.Context, typ wire.OpType, key string, value []byte, ttl time.Duration, level wire.Consistency) (bool, error) {
+func (c *Client) fanoutWrite(ctx context.Context, req wire.Request) (bool, error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	var version uint64
-	if typ == wire.OpPut && c.cfg.Replicas > 1 {
-		version = uint64(c.vclock.Next())
+	if req.Type == wire.OpPut && c.cfg.Replicas > 1 {
+		req.Version = uint64(c.vclock.Next())
 	}
-	replicas := c.place.For(key)
+	replicas := c.place.For(req.Key)
 	if len(replicas) == 1 {
-		resp, err := c.doTTL(ctx, typ, key, value, replicas[0], ttl, version, level)
+		resp, err := c.send(ctx, replicas[0], req)
 		if err != nil {
 			return false, err
 		}
@@ -805,7 +797,7 @@ func (c *Client) fanoutWrite(ctx context.Context, typ wire.OpType, key string, v
 	for _, server := range replicas {
 		server := server
 		go func() {
-			resp, err := c.doTTL(ctx, typ, key, value, server, ttl, version, level)
+			resp, err := c.send(ctx, server, req)
 			if err != nil {
 				results <- outcome{err: err}
 				return
@@ -1238,7 +1230,9 @@ func (c *Client) Repair(ctx context.Context, key string) (int, error) {
 	}
 	fixed := 0
 	for _, rep := range replica.Repairs(reads) {
-		resp, err := c.doTTL(ctx, wire.OpPut, key, rep.Value, rep.Server, 0, uint64(rep.Version), wire.ConsistencyDefault)
+		resp, err := c.send(ctx, rep.Server, wire.Request{
+			Type: wire.OpPut, Key: key, Value: rep.Value, Version: uint64(rep.Version),
+		})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("kv: repair %q: write server %d: %w", key, rep.Server, err)
@@ -1296,37 +1290,27 @@ func (c *Client) ReplicaScores(key string) []replica.Score {
 	return c.sel.Scores(c.place.For(key), demand, c.now())
 }
 
-// do executes one single-key operation against a specific server with
-// fresh tags.
-func (c *Client) do(ctx context.Context, typ wire.OpType, key string, value []byte, server sched.ServerID) (*wire.Response, error) {
-	return c.doTTL(ctx, typ, key, value, server, 0, 0, wire.ConsistencyDefault)
-}
-
-// doCAS sends one compare-and-swap to the key's primary.
-func (c *Client) doCAS(ctx context.Context, key string, oldValue, newValue []byte) (*wire.Response, error) {
-	now := c.now()
-	server := c.ring.Lookup(key)
-	demand, size := c.demandFor(wire.OpCAS, key, len(newValue))
-	op := &sched.Op{
-		Server: server,
-		Key:    key,
-		Demand: demand,
-	}
+// send executes one single-key operation against server and waits for
+// its response. The caller fills the request's type, key, value, TTL,
+// old value, version and consistency level; send stamps the ID, fresh
+// scheduling tags and the deadline budget. A server error or deadline
+// shed comes back as an error; any other status is the caller's to
+// interpret.
+func (c *Client) send(ctx context.Context, server sched.ServerID, req wire.Request) (*wire.Response, error) {
+	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
+	op := &sched.Op{Server: server, Key: req.Key, Demand: demand}
 	op.Tags.SizeBytes = size
-	core.Tag([]*sched.Op{op}, c.taggingEst(), now)
+	core.Tag([]*sched.Op{op}, c.taggingEst(), c.now())
 	cc, err := c.conn(server)
 	if err != nil {
 		return nil, err
 	}
-	id := c.nextID.Add(1)
-	ch := cc.register(id)
-	req := wire.Request{
-		ID: id, Type: wire.OpCAS, Key: key, Value: newValue,
-		OldValue: oldValue, Tags: wireTags(op),
-		DeadlineNanos: deadlineBudget(ctx),
-	}
+	req.ID = c.nextID.Add(1)
+	req.Tags = wireTags(op)
+	req.DeadlineNanos = deadlineBudget(ctx)
+	ch := cc.register(req.ID)
 	if err := cc.writeRequest(&req); err != nil {
-		cc.unregister(id)
+		cc.unregister(req.ID)
 		c.noteServerFailure(server)
 		return nil, fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, server, err)
 	}
@@ -1336,63 +1320,17 @@ func (c *Client) doCAS(ctx context.Context, key string, oldValue, newValue []byt
 			return nil, fmt.Errorf("%w: connection to server %d lost", ErrUnavailable, server)
 		}
 		putRespChan(ch)
-		c.observeService(server, op.Demand, resp.Timing, resp.Status, int64(len(newValue)))
-		if resp.Status == wire.StatusDeadlineExceeded {
-			return nil, fmt.Errorf("kv: server %d shed CAS on %q past its deadline: %w",
-				server, key, context.DeadlineExceeded)
-		}
-		return &resp, nil
-	case <-ctx.Done():
-		cc.unregister(id)
-		return nil, ctx.Err()
-	}
-}
-
-// doTTL is do with an expiry and a last-writer-wins version tag for PUT
-// operations (version 0 = unversioned).
-func (c *Client) doTTL(ctx context.Context, typ wire.OpType, key string, value []byte, server sched.ServerID, ttl time.Duration, version uint64, level wire.Consistency) (*wire.Response, error) {
-	now := c.now()
-	demand, size := c.demandFor(typ, key, len(value))
-	op := &sched.Op{
-		Server: server,
-		Key:    key,
-		Demand: demand,
-	}
-	op.Tags.SizeBytes = size
-	core.Tag([]*sched.Op{op}, c.taggingEst(), now)
-	cc, err := c.conn(op.Server)
-	if err != nil {
-		return nil, err
-	}
-	id := c.nextID.Add(1)
-	ch := cc.register(id)
-	req := wire.Request{
-		ID: id, Type: typ, Key: key, Value: value, Tags: wireTags(op),
-		TTLNanos: int64(ttl), DeadlineNanos: deadlineBudget(ctx),
-		Version: version, Consistency: level,
-	}
-	if err := cc.writeRequest(&req); err != nil {
-		cc.unregister(id)
-		c.noteServerFailure(op.Server)
-		return nil, fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, op.Server, err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("%w: connection to server %d lost", ErrUnavailable, op.Server)
-		}
-		putRespChan(ch)
-		c.observeService(op.Server, op.Demand, resp.Timing, resp.Status, int64(len(value)))
+		c.observeService(server, demand, resp.Timing, resp.Status, int64(len(req.Value)))
 		switch resp.Status {
 		case wire.StatusError:
-			return nil, fmt.Errorf("kv: server error for key %q", key)
+			return nil, fmt.Errorf("kv: server error for key %q", req.Key)
 		case wire.StatusDeadlineExceeded:
 			return nil, fmt.Errorf("kv: server %d shed %q past its deadline: %w",
-				op.Server, key, context.DeadlineExceeded)
+				server, req.Key, context.DeadlineExceeded)
 		}
 		return &resp, nil
 	case <-ctx.Done():
-		cc.unregister(id)
+		cc.unregister(req.ID)
 		return nil, ctx.Err()
 	}
 }
@@ -1403,7 +1341,7 @@ func (c *Client) Stats(ctx context.Context, server sched.ServerID) (wire.ServerS
 	var stats wire.ServerStats
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	resp, err := c.do(ctx, wire.OpStats, "", nil, server)
+	resp, err := c.send(ctx, server, wire.Request{Type: wire.OpStats})
 	if err != nil {
 		return stats, err
 	}
@@ -1504,13 +1442,11 @@ func (c *Client) dial(id sched.ServerID, addr string) (*clientConn, error) {
 		c.noteServerFailure(id)
 		return nil, fmt.Errorf("%w: dial server %d at %s: %w", ErrUnavailable, id, addr, err)
 	}
-	w := wire.NewWriter(conn)
-	w.SetVersion(byte(c.cfg.ProtocolVersion))
 	cc := &clientConn{
 		client:  c,
 		server:  id,
 		conn:    conn,
-		w:       w,
+		w:       wire.NewWriter(conn),
 		pending: make(map[uint64]chan wire.Response),
 	}
 	go cc.readLoop()
@@ -1523,8 +1459,7 @@ func (cc *clientConn) writeRequest(req *wire.Request) error {
 	return cc.w.WriteRequest(req)
 }
 
-// writeBatch sends a run of requests as one batch frame (or, on a
-// v2-pinned connection, as a run of single frames sharing one flush).
+// writeBatch sends a run of requests as one batch frame.
 func (cc *clientConn) writeBatch(reqs []wire.Request) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()

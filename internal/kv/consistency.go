@@ -83,7 +83,10 @@ func (c *Client) PutTTLLevel(ctx context.Context, key string, value []byte, ttl 
 	if ttl < 0 {
 		return fmt.Errorf("kv: negative ttl %v", ttl)
 	}
-	_, err := c.writeLevel(ctx, wire.OpPut, key, value, ttl, c.effectiveLevel(level))
+	_, err := c.writeLevel(ctx, wire.Request{
+		Type: wire.OpPut, Key: key, Value: value, TTLNanos: int64(ttl),
+		Consistency: c.effectiveLevel(level),
+	})
 	return err
 }
 
@@ -92,7 +95,9 @@ func (c *Client) PutTTLLevel(ctx context.Context, key string, value []byte, ttl 
 // acknowledgements were waited for; a key present solely on a slow
 // straggler may report ErrNotFound even though the delete reaches it.
 func (c *Client) DeleteLevel(ctx context.Context, key string, level wire.Consistency) error {
-	found, err := c.writeLevel(ctx, wire.OpDelete, key, nil, 0, c.effectiveLevel(level))
+	found, err := c.writeLevel(ctx, wire.Request{
+		Type: wire.OpDelete, Key: key, Consistency: c.effectiveLevel(level),
+	})
 	if err != nil {
 		return err
 	}
@@ -102,15 +107,17 @@ func (c *Client) DeleteLevel(ctx context.Context, key string, level wire.Consist
 	return nil
 }
 
-// writeLevel routes one write by consistency level: the default and
-// any level whose W covers the holder set use the synchronous wait-all
-// fan-out; a genuine W < N quorum write waits W acknowledgements in
-// the foreground and drains the stragglers in the background.
-func (c *Client) writeLevel(ctx context.Context, typ wire.OpType, key string, value []byte, ttl time.Duration, level wire.Consistency) (bool, error) {
+// writeLevel routes one write (req carrying its resolved level) by
+// consistency level: the default and any level whose W covers the
+// holder set use the synchronous wait-all fan-out; a genuine W < N
+// quorum write waits W acknowledgements in the foreground and drains
+// the stragglers in the background.
+func (c *Client) writeLevel(ctx context.Context, req wire.Request) (bool, error) {
+	level, key := req.Consistency, req.Key
 	holders := c.place.For(key)
 	w := Need(level, len(holders))
 	if level == wire.ConsistencyDefault || w >= len(holders) {
-		return c.fanoutWrite(ctx, typ, key, value, ttl, level)
+		return c.fanoutWrite(ctx, req)
 	}
 
 	// W < N: every holder still gets the write, but the caller returns
@@ -118,10 +125,6 @@ func (c *Client) writeLevel(ctx context.Context, typ wire.OpType, key string, va
 	// context so the foreground return does not cancel stragglers; a
 	// collector goroutine (tracked like read-repair, drained by Close)
 	// owns the channel until every holder resolved.
-	var version uint64
-	if typ == wire.OpPut {
-		version = uint64(c.vclock.Next())
-	}
 	timeout := c.cfg.RequestTimeout
 	if timeout <= 0 {
 		timeout = readRepairTimeout
@@ -135,7 +138,10 @@ func (c *Client) writeLevel(ctx context.Context, typ wire.OpType, key string, va
 	if !background {
 		// Client is closing; no background drain is available, so fall
 		// back to the synchronous fan-out (which fails fast).
-		return c.fanoutWrite(ctx, typ, key, value, ttl, level)
+		return c.fanoutWrite(ctx, req)
+	}
+	if req.Type == wire.OpPut {
+		req.Version = uint64(c.vclock.Next())
 	}
 
 	bctx, bcancel := context.WithTimeout(context.Background(), timeout)
@@ -147,7 +153,7 @@ func (c *Client) writeLevel(ctx context.Context, typ wire.OpType, key string, va
 	for _, server := range holders {
 		server := server
 		go func() {
-			resp, err := c.doTTL(bctx, typ, key, value, server, ttl, version, level)
+			resp, err := c.send(bctx, server, req)
 			if err != nil {
 				results <- outcome{err: err}
 				return

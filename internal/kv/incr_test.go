@@ -2,21 +2,22 @@ package kv
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/daskv/daskv/internal/sched"
 	"github.com/daskv/daskv/internal/wal"
-	"github.com/daskv/daskv/internal/wire"
 )
 
 // TestStoreMerge pins the RMW contract: absent keys count from zero,
 // totals accumulate under the shard lock, versions advance like puts,
-// and a non-integer value fails the op without mutating.
+// and a non-integer value or an int64 overflow fails the op without
+// mutating.
 func TestStoreMerge(t *testing.T) {
 	s := NewStore()
 	total, ver, err := s.Merge("ctr", 5, 0)
@@ -45,12 +46,38 @@ func TestStoreMerge(t *testing.T) {
 	if v, _ := s.Get("text"); string(v) != "hello" {
 		t.Fatalf("failed merge mutated the value: %q", v)
 	}
+
+	// Overflow in either direction fails without mutating, rather than
+	// wrapping to the opposite sign.
+	for _, c := range []struct {
+		start string
+		delta int64
+	}{
+		{strconv.FormatInt(math.MaxInt64, 10), 1},
+		{strconv.FormatInt(math.MinInt64, 10), -1},
+		{"-1", math.MinInt64},
+	} {
+		s.Put("edge", []byte(c.start))
+		_, before, _ := s.GetVersioned("edge")
+		if total, _, err := s.Merge("edge", c.delta, 0); err == nil {
+			t.Fatalf("merge %s%+d = %d, want overflow error", c.start, c.delta, total)
+		}
+		v, after, _ := s.GetVersioned("edge")
+		if string(v) != c.start || after != before {
+			t.Fatalf("overflowing merge mutated %s to %q (version %d -> %d)", c.start, v, before, after)
+		}
+	}
+	// The largest representable total is still reachable.
+	s.Put("edge", []byte(strconv.FormatInt(math.MaxInt64-1, 10)))
+	if total, _, err := s.Merge("edge", 1, 0); err != nil || total != math.MaxInt64 {
+		t.Fatalf("merge to MaxInt64 = %d/%v", total, err)
+	}
 }
 
 // TestClientIncrEndToEnd drives OpIncr through the live wire path:
 // increments accumulate, a plain Get sees the decimal total, and the
-// guard rails (replicated configs, old protocol pins, non-integer
-// values) all refuse cleanly.
+// guard rails (non-integer values, int64 overflow, negative TTLs) all
+// refuse cleanly.
 func TestClientIncrEndToEnd(t *testing.T) {
 	srv := newWALServer(t, t.TempDir(), func(cfg *ServerConfig) {
 		cfg.WALSync = wal.SyncPolicy{Mode: wal.SyncCoalesce, Window: time.Millisecond}
@@ -79,18 +106,24 @@ func TestClientIncrEndToEnd(t *testing.T) {
 		t.Fatal("incr over a non-integer value succeeded")
 	}
 
-	// A v3-pinned client cannot put OpIncr on the wire; the client
-	// refuses locally rather than sending a frame the server rejects.
-	old, err := NewClient(ClientConfig{
-		Servers:         map[sched.ServerID]string{srv.ID(): srv.Addr()},
-		ProtocolVersion: wire.Version3,
-	})
-	if err != nil {
-		t.Fatalf("NewClient(v3): %v", err)
+	// Overflow surfaces as an error and leaves the counter alone.
+	if _, err := client.Incr(ctx, "hits", math.MaxInt64); err == nil {
+		t.Fatal("overflowing incr succeeded")
 	}
-	defer func() { _ = old.Close() }()
-	if _, err := old.Incr(ctx, "hits", 1); err == nil {
-		t.Fatal("v3-pinned client accepted Incr")
+	if v, err := client.Get(ctx, "hits"); err != nil || string(v) != "40" {
+		t.Fatalf("Get after overflowing incr = %q/%v, want \"40\"", v, err)
+	}
+
+	// A negative TTL is refused as PutTTL refuses it, before anything
+	// reaches the server.
+	if _, err := client.IncrTTL(ctx, "fresh", 1, -time.Second); err == nil {
+		t.Fatal("IncrTTL accepted a negative ttl")
+	}
+	if err := client.PutTTL(ctx, "fresh", []byte("1"), -time.Second); err == nil {
+		t.Fatal("PutTTL accepted a negative ttl")
+	}
+	if _, err := client.Get(ctx, "fresh"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after refused IncrTTL = %v, want ErrNotFound", err)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/daskv/daskv/internal/core"
 	"github.com/daskv/daskv/internal/sched"
+	"github.com/daskv/daskv/internal/wal"
 	"github.com/daskv/daskv/internal/wire"
 	"github.com/daskv/daskv/internal/workload"
 )
@@ -579,9 +581,11 @@ func TestStoreLoadFromBadInput(t *testing.T) {
 }
 
 func TestServerPersistenceAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/server0.snap"
-	srv, err := NewServer(ServerConfig{ID: 0, Addr: "127.0.0.1:0", DataPath: path})
+	cfg := ServerConfig{
+		ID: 0, Addr: "127.0.0.1:0",
+		WALDir: t.TempDir(), WALSync: wal.SyncPolicy{Mode: wal.SyncNone},
+	}
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -597,25 +601,42 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Restart from the snapshot.
-	srv2, err := NewServer(ServerConfig{ID: 0, Addr: "127.0.0.1:0", DataPath: path})
+	// Restart from the snapshot the graceful close compacted the log into.
+	srv2, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	t.Cleanup(func() { _ = srv2.Close() })
+	if rep := srv2.WALRecovery(); !rep.SnapshotLoaded || rep.RecordsApplied != 0 {
+		t.Fatalf("recovery = %+v, want snapshot-only", rep)
+	}
 	v, ok := srv2.Store().Get("durable")
 	if !ok || string(v) != "survives" {
 		t.Fatalf("after restart: %q/%v", v, ok)
 	}
 }
 
+// TestServerCorruptSnapshotRejected: a snapshot in the log directory
+// that does not parse fails startup instead of serving a partial store.
 func TestServerCorruptSnapshotRejected(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/bad.snap"
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	cfg := ServerConfig{ID: 0, Addr: "127.0.0.1:0", WALDir: t.TempDir()}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	srv.Store().Put("k", []byte("v"))
+	if err := srv.Close(); err != nil { // compacts into a .snap
+		t.Fatalf("Close: %v", err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(cfg.WALDir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after close = %v (%v), want one", snaps, err)
+	}
+	if err := os.WriteFile(snaps[0], []byte("{not json"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := NewServer(ServerConfig{ID: 0, Addr: "127.0.0.1:0", DataPath: path}); err == nil {
+	if srv2, err := NewServer(cfg); err == nil {
+		_ = srv2.Close()
 		t.Fatal("corrupt snapshot should fail startup")
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -44,15 +42,11 @@ type ServerConfig struct {
 	// SpeedFactor scales service speed: 0.5 halves throughput,
 	// emulating a degraded server (default 1.0).
 	SpeedFactor float64
-	// DataPath, when set, loads a snapshot at startup (if the file
-	// exists) and writes one on Close.
-	DataPath string
 	// WALDir, when set, enables the durability subsystem: every applied
 	// mutation is appended to a segmented write-ahead log in this
 	// directory before the client is acknowledged (per WALSync), startup
 	// replays snapshot plus log, and a graceful Close compacts the log
-	// into a fresh snapshot. Mutually exclusive with DataPath — the
-	// log's own snapshots subsume it.
+	// into a fresh snapshot. Empty keeps the store in memory only.
 	WALDir string
 	// WALSync is the log's fsync policy (zero value = fsync before
 	// every acknowledgement).
@@ -218,10 +212,6 @@ type serverConn struct {
 	// dead is closed by the writer on exit so senders never block on a
 	// connection that will not write again.
 	dead chan struct{}
-	// version is the negotiated protocol version (the version byte of
-	// the client's frames), echoed on every response; 0 until the first
-	// frame decodes.
-	version atomic.Uint32
 	// inflight is this connection's admitted-but-unanswered op count,
 	// the per-connection saturation gauge the stats document surfaces.
 	inflight atomic.Int64
@@ -326,12 +316,9 @@ func (s *Server) connWriter(sc *serverConn) {
 	}
 }
 
-// encodeResponse buffers one response at the connection's negotiated
-// protocol version and returns the struct to the pool.
+// encodeResponse buffers one response and returns the struct to the
+// pool.
 func (s *Server) encodeResponse(sc *serverConn, r *wire.Response) error {
-	if v := sc.version.Load(); v != 0 {
-		sc.w.SetVersion(byte(v))
-	}
 	err := sc.w.EncodeResponse(r)
 	putValueBuf(r.Value) // always an owned copy; the frame is encoded
 	*r = wire.Response{}
@@ -342,9 +329,6 @@ func (s *Server) encodeResponse(sc *serverConn, r *wire.Response) error {
 // NewServer starts listening and serving on cfg.Addr.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.WALDir != "" && cfg.DataPath != "" {
-		return nil, fmt.Errorf("kv: WALDir and DataPath are mutually exclusive (the log keeps its own snapshots)")
-	}
 	if cfg.PoolSplit < 0 || cfg.PoolSplit >= 1 {
 		return nil, fmt.Errorf("kv: PoolSplit %v outside [0, 1)", cfg.PoolSplit)
 	}
@@ -381,12 +365,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.largeWorkers = cfg.Workers - s.smallWorkers
 		for p := range s.poolWake {
 			s.poolWake[p] = make(chan struct{}, 1)
-		}
-	}
-	if cfg.DataPath != "" {
-		if err := s.loadSnapshot(); err != nil {
-			_ = ln.Close()
-			return nil, err
 		}
 	}
 	if cfg.WALDir != "" {
@@ -678,11 +656,6 @@ func (s *Server) Close() error {
 	}
 	close(s.done)
 	s.wg.Wait()
-	if s.cfg.DataPath != "" {
-		if serr := s.saveSnapshot(); serr != nil && err == nil {
-			err = serr
-		}
-	}
 	if s.wal != nil {
 		// A graceful shutdown compacts the log into a snapshot — the
 		// next start loads one file instead of replaying every segment —
@@ -729,58 +702,6 @@ func (s *Server) Crash() {
 	}
 	close(s.done)
 	s.wg.Wait()
-}
-
-// loadSnapshot restores the store from DataPath; a missing file is a
-// fresh start, not an error.
-func (s *Server) loadSnapshot() error {
-	f, err := os.Open(s.cfg.DataPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("kv: open snapshot: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	if err := s.store.LoadFrom(f); err != nil {
-		return err
-	}
-	return nil
-}
-
-// saveSnapshot writes the store to DataPath atomically.
-func (s *Server) saveSnapshot() error {
-	return writeFileAtomic(s.cfg.DataPath, s.store.SaveTo)
-}
-
-// writeFileAtomic publishes path via temp file, fsync, and rename: a
-// crash or write error mid-save never leaves a truncated or corrupt
-// file at path — the previous contents survive untouched.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("kv: create %s: %w", tmp, err)
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("kv: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("kv: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("kv: publish %s: %w", path, err)
-	}
-	return nil
 }
 
 func (s *Server) now() time.Duration { return time.Since(s.start) }
@@ -830,11 +751,9 @@ func (s *Server) readLoop(conn net.Conn) {
 	var reqs []wire.Request
 	var ops []*sched.Op
 	for {
-		version, err := r.ReadRequests(&reqs)
-		if err != nil {
+		if _, err := r.ReadRequests(&reqs); err != nil {
 			return // EOF, peer reset, or protocol error: drop the conn
 		}
-		sc.version.Store(uint32(version))
 		ops = s.enqueueBatch(sc, reqs, ops[:0])
 	}
 }

@@ -285,9 +285,10 @@ func (s *Store) PutVersioned(key string, value []byte, ttl time.Duration, versio
 // treating an absent (or expired) key as zero. The stored
 // representation is ASCII decimal — the same bytes a GET returns — so
 // counters interoperate with plain puts. A live value that does not
-// parse as a signed 64-bit integer fails the op without mutating. The
-// new total and version are returned; ttl (0 = keep alive forever)
-// restamps the entry's expiry like a put would.
+// parse as a signed 64-bit integer, or a total that would overflow one,
+// fails the op without mutating. The new total and version are
+// returned; ttl (0 = keep alive forever) restamps the entry's expiry
+// like a put would.
 func (s *Store) Merge(key string, delta int64, ttl time.Duration) (total int64, version uint64, err error) {
 	now := s.now()
 	var exp time.Time
@@ -311,7 +312,12 @@ func (s *Store) Merge(key string, delta int64, ttl time.Duration) (total int64, 
 			version = e.version + 1 // don't reuse a dead entry's tag
 		}
 	}
-	total += delta
+	sum := total + delta
+	if (delta > 0 && sum < total) || (delta < 0 && sum > total) {
+		sh.mu.Unlock()
+		return 0, 0, fmt.Errorf("kv: merge %q: %d%+d overflows int64", key, total, delta)
+	}
+	total = sum
 	v := strconv.AppendInt(nil, total, 10)
 	sh.m[key] = entry{value: v, version: version, expiresAt: exp}
 	ack := s.notify(Mutation{Key: key, Value: v, Version: version, ExpiresAt: exp, Merge: true, Delta: delta})

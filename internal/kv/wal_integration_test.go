@@ -1,13 +1,10 @@
 package kv
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -155,19 +152,6 @@ func TestServerWALGracefulCloseCompacts(t *testing.T) {
 	}
 }
 
-// TestServerWALConflictsWithDataPath: the legacy -data snapshot and the
-// WAL are mutually exclusive, rejected at construction.
-func TestServerWALConflictsWithDataPath(t *testing.T) {
-	_, err := NewServer(ServerConfig{
-		Addr:     "127.0.0.1:0",
-		WALDir:   t.TempDir(),
-		DataPath: filepath.Join(t.TempDir(), "snap.jsonl"),
-	})
-	if err == nil {
-		t.Fatal("NewServer accepted WALDir+DataPath")
-	}
-}
-
 // TestServerWALStatsAndMetrics: the stats document grows a wal section
 // and /metrics exports the kv_wal_* families, lint-clean.
 func TestServerWALStatsAndMetrics(t *testing.T) {
@@ -229,9 +213,8 @@ func TestServerWALTornWriteFailsStop(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	inj.TearNextWrite(4)
-	// The put's ack fails; client.Put only surfaces transport errors,
-	// so assert fail-stop through the store and a CAS (which does
-	// surface the server's error status).
+	// The put's ack fails; assert fail-stop through the store's latch
+	// and through a later CAS, which the server must refuse.
 	_ = client.Put(ctx, "torn", []byte("lost"))
 	if srv.Store().DurabilityErr() == nil {
 		t.Fatal("durability error not latched after torn write")
@@ -250,55 +233,5 @@ func TestServerWALTornWriteFailsStop(t *testing.T) {
 	}
 	if _, ok := srv2.Store().Get("torn"); ok {
 		t.Fatal("torn record recovered")
-	}
-}
-
-// TestWriteFileAtomicKeepsOldOnError is the regression test for the
-// legacy -data snapshot path: an injected write error mid-save must
-// leave the previous snapshot untouched and no temp file behind.
-func TestWriteFileAtomicKeepsOldOnError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.jsonl")
-	if err := writeFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("good snapshot\n"))
-		return err
-	}); err != nil {
-		t.Fatalf("initial save: %v", err)
-	}
-	injected := errors.New("injected write failure")
-	err := writeFileAtomic(path, func(w io.Writer) error {
-		_, _ = w.Write([]byte("partial gar")) // bytes written before the failure
-		return injected
-	})
-	if !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want injected failure", err)
-	}
-	got, rerr := os.ReadFile(path)
-	if rerr != nil || !bytes.Equal(got, []byte("good snapshot\n")) {
-		t.Fatalf("snapshot after failed save = %q (%v)", got, rerr)
-	}
-	if _, serr := os.Stat(path + ".tmp"); !os.IsNotExist(serr) {
-		t.Fatalf("temp file left behind: %v", serr)
-	}
-}
-
-// TestServerDataPathAtomicSaveRoundTrip: the legacy snapshot path still
-// round-trips through the atomic writer.
-func TestServerDataPathAtomicSaveRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.jsonl")
-	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", DataPath: path})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	srv.Store().Put("k", []byte("v"))
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	srv2, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", DataPath: path})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer func() { _ = srv2.Close() }()
-	if v, ok := srv2.Store().Get("k"); !ok || string(v) != "v" {
-		t.Fatalf("k = %q/%v", v, ok)
 	}
 }

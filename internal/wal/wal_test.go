@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -267,6 +268,89 @@ func TestCompactDropsCoveredSegments(t *testing.T) {
 	}
 	if got := w2.LastSeq(); got != 31 {
 		t.Fatalf("reopened LastSeq = %d, want 31", got)
+	}
+}
+
+// TestCompactWriteErrorKeepsPrevious: a snapshot writer failing midway
+// leaves the previous snapshot and every segment in place, no temp file
+// behind, and the log appendable and recoverable as before.
+func TestCompactWriteErrorKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SegmentSize: 256})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		mustAppend(t, w, OpPut, fmt.Sprintf("key-%02d", i), "0123456789abcdef", uint64(i+1))
+	}
+	good := []byte("good snapshot")
+	if _, err := w.Compact(func(out io.Writer) error {
+		_, werr := out.Write(good)
+		return werr
+	}); err != nil {
+		t.Fatalf("first Compact: %v", err)
+	}
+	for i := 10; i < 20; i++ {
+		mustAppend(t, w, OpPut, fmt.Sprintf("key-%02d", i), "0123456789abcdef", uint64(i+1))
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("ReadDir: %v", err)
+		}
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	before := listing()
+
+	injected := errors.New("injected write failure")
+	_, err = w.Compact(func(out io.Writer) error {
+		_, _ = out.Write([]byte("partial gar")) // bytes written before the failure
+		return injected
+	})
+	if !errors.Is(err, injected) {
+		t.Fatalf("Compact err = %v, want the injected failure", err)
+	}
+	if after := listing(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("failed compaction changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+	if got, rerr := os.ReadFile(filepath.Join(dir, snapName(10))); rerr != nil || !bytes.Equal(got, good) {
+		t.Fatalf("previous snapshot after failed compaction = %q (%v)", got, rerr)
+	}
+	if st := w.Stats(); st.SnapshotSeq != 10 {
+		t.Fatalf("SnapshotSeq = %d after failed compaction, want 10", st.SnapshotSeq)
+	}
+	mustAppend(t, w, OpPut, "post", "failure", 21)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	w2, err := Open(Options{Dir: dir, SegmentSize: 256})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = w2.Close() }()
+	var snapGot []byte
+	var replayed int
+	rep, err := w2.Recover(
+		func(r io.Reader) error {
+			var rerr error
+			snapGot, rerr = io.ReadAll(r)
+			return rerr
+		},
+		func(Record) error { replayed++; return nil },
+	)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !rep.SnapshotLoaded || rep.SnapshotSeq != 10 || !bytes.Equal(snapGot, good) {
+		t.Fatalf("report = %+v, snapshot %q; want the good snapshot @10", rep, snapGot)
+	}
+	if replayed != 11 {
+		t.Fatalf("replayed %d records past the snapshot, want 11", replayed)
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -53,57 +54,24 @@ func TestWriteBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteBatchV2Degradation pins the writer to Version2 and checks the
-// batch degrades to a run of single-op v2 frames an old server parses
-// one at a time.
-func TestWriteBatchV2Degradation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.SetVersion(Version2)
-	want := batchOf(5)
-	if err := w.WriteBatch(want); err != nil {
-		t.Fatalf("WriteBatch: %v", err)
-	}
-	// A strict pre-batching server reads with ReadRequest, which rejects
-	// batch frames outright — every frame here must parse as single-op.
-	r := NewReader(&buf)
-	for i := range want {
-		var got Request
-		if err := r.ReadRequest(&got); err != nil {
-			t.Fatalf("op %d: ReadRequest: %v", i, err)
-		}
-		if got.ID != want[i].ID || got.Key != want[i].Key {
-			t.Fatalf("op %d mismatch: got %+v want %+v", i, got, want[i])
-		}
-	}
-	if _, err := r.next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("trailing data after %d frames: err=%v", len(want), err)
-	}
-}
-
 // TestReadRequestsSingleFrame checks the server-side entry point accepts
-// plain single-op frames from both protocol versions and reports the
-// version for response echoing.
+// a plain single-op frame and reports the protocol version.
 func TestReadRequestsSingleFrame(t *testing.T) {
-	for _, v := range []byte{Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.SetVersion(v)
-		req := Request{ID: 3, Type: OpPut, Key: "k", Value: []byte("v")}
-		if err := w.WriteRequest(&req); err != nil {
-			t.Fatalf("v%d: WriteRequest: %v", v, err)
-		}
-		var got []Request
-		version, err := NewReader(&buf).ReadRequests(&got)
-		if err != nil {
-			t.Fatalf("v%d: ReadRequests: %v", v, err)
-		}
-		if version != v {
-			t.Fatalf("reported version %d, want %d", version, v)
-		}
-		if len(got) != 1 || got[0].ID != 3 || got[0].Key != "k" {
-			t.Fatalf("v%d: decoded %+v", v, got)
-		}
+	var buf bytes.Buffer
+	req := Request{ID: 3, Type: OpPut, Key: "k", Value: []byte("v")}
+	if err := NewWriter(&buf).WriteRequest(&req); err != nil {
+		t.Fatalf("WriteRequest: %v", err)
+	}
+	var got []Request
+	version, err := NewReader(&buf).ReadRequests(&got)
+	if err != nil {
+		t.Fatalf("ReadRequests: %v", err)
+	}
+	if version != Version {
+		t.Fatalf("reported version %d, want %d", version, Version)
+	}
+	if len(got) != 1 || got[0].ID != 3 || got[0].Key != "k" {
+		t.Fatalf("decoded %+v", got)
 	}
 }
 
@@ -139,7 +107,17 @@ func TestReadRequestsReuse(t *testing.T) {
 	}
 }
 
-// TestBatchRejects covers the decoder's batch plausibility gates.
+// withVersion re-stamps the version byte of the one encoded frame in
+// raw (the payload starts after the 4-byte length header).
+func withVersion(raw []byte, v byte) []byte {
+	out := append([]byte(nil), raw...)
+	out[4] = v
+	return out
+}
+
+// TestBatchRejects covers the decoder's batch plausibility gates and
+// its refusal of every version byte but Version, on requests and
+// responses alike.
 func TestBatchRejects(t *testing.T) {
 	encode := func(payload []byte) []byte {
 		frame := make([]byte, 4+len(payload))
@@ -150,21 +128,50 @@ func TestBatchRejects(t *testing.T) {
 		copy(frame[4:], payload)
 		return frame
 	}
+	var batch, single, resp bytes.Buffer
+	if err := NewWriter(&batch).WriteBatch(batchOf(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWriter(&single).WriteRequest(&Request{ID: 1, Type: OpGet, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWriter(&resp).WriteResponse(&Response{ID: 1, Status: StatusOK}); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]byte{
-		// kindBatch on a v2 frame: batches did not exist in v2.
-		"v2 batch":   encode([]byte{Version2, kindBatch, 0, 0, 0, 1}),
-		"zero count": encode([]byte{Version3, kindBatch, 0, 0, 0, 0}),
+		"zero count": encode([]byte{Version, kindBatch, 0, 0, 0, 0}),
 		// Count claims more ops than the payload could possibly hold.
-		"implausible count": encode([]byte{Version3, kindBatch, 0, 0, 0, 200}),
+		"implausible count": encode([]byte{Version, kindBatch, 0, 0, 0, 200}),
 		// Count past the protocol ceiling.
-		"over MaxBatchOps": encode([]byte{Version3, kindBatch, 0xff, 0xff, 0xff, 0xff}),
-		"unknown kind":     encode([]byte{Version3, 9, 0}),
+		"over MaxBatchOps": encode([]byte{Version, kindBatch, 0xff, 0xff, 0xff, 0xff}),
+		"unknown kind":     encode([]byte{Version, 9, 0}),
+	}
+	for _, v := range []byte{2, 3, 5} {
+		cases[fmt.Sprintf("v%d batch", v)] = withVersion(batch.Bytes(), v)
+		cases[fmt.Sprintf("v%d request", v)] = withVersion(single.Bytes(), v)
 	}
 	for name, frame := range cases {
 		var reqs []Request
 		if _, err := NewReader(bytes.NewReader(frame)).ReadRequests(&reqs); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("%s: err = %v, want ErrBadMessage", name, err)
 		}
+	}
+	for _, v := range []byte{2, 3, 5} {
+		var r Response
+		frame := withVersion(resp.Bytes(), v)
+		if err := NewReader(bytes.NewReader(frame)).ReadResponse(&r); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("v%d response: err = %v, want ErrBadMessage", v, err)
+		}
+	}
+	// The untouched frames decode, so the rejections above are the
+	// version byte's doing.
+	var reqs []Request
+	if _, err := NewReader(bytes.NewReader(batch.Bytes())).ReadRequests(&reqs); err != nil {
+		t.Fatalf("current batch: %v", err)
+	}
+	var r Response
+	if err := NewReader(bytes.NewReader(resp.Bytes())).ReadResponse(&r); err != nil {
+		t.Fatalf("current response: %v", err)
 	}
 }
 

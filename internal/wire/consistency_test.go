@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// TestConsistencyRoundTrip pins the v4 trailing byte: levels survive
-// single-op and batch frames, and a v3-pinned writer silently drops the
-// field (old layout, decoded as the default level).
+// TestConsistencyRoundTrip pins the trailing consistency byte: levels
+// survive single-op and batch frames.
 func TestConsistencyRoundTrip(t *testing.T) {
 	levels := []Consistency{ConsistencyDefault, ConsistencyOne, ConsistencyQuorum, ConsistencyAll}
 	for _, lvl := range levels {
@@ -23,8 +22,8 @@ func TestConsistencyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ReadRequests: %v", lvl, err)
 		}
-		if version != Version4 {
-			t.Fatalf("%s: version = %d, want %d", lvl, version, Version4)
+		if version != Version {
+			t.Fatalf("%s: version = %d, want %d", lvl, version, Version)
 		}
 		if len(got) != 1 || got[0].Consistency != lvl {
 			t.Fatalf("%s: decoded consistency %v", lvl, got[0].Consistency)
@@ -48,63 +47,30 @@ func TestConsistencyRoundTrip(t *testing.T) {
 	if got[0].Consistency != ConsistencyQuorum || got[1].Consistency != ConsistencyAll {
 		t.Fatalf("batch consistency = %v, %v", got[0].Consistency, got[1].Consistency)
 	}
-
-	// A v3-pinned writer cannot carry the field; it must decode as the
-	// default level, not garbage.
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.SetVersion(Version3)
-	req := Request{ID: 9, Type: OpGet, Key: "k", Consistency: ConsistencyAll}
-	if err := w.WriteRequest(&req); err != nil {
-		t.Fatalf("v3 WriteRequest: %v", err)
-	}
-	got = got[:0]
-	if _, err := NewReader(&buf).ReadRequests(&got); err != nil {
-		t.Fatalf("v3 ReadRequests: %v", err)
-	}
-	if got[0].Consistency != ConsistencyDefault {
-		t.Fatalf("v3 frame decoded consistency %v, want default", got[0].Consistency)
-	}
 }
 
 // TestV4OpsRejectedOnOldFrames checks the membership/handoff/incr ops
-// are valid only on v4 frames: an old-version frame claiming them is
-// malformed, not silently misparsed.
+// (the last ones the op-code range admits) decode on current frames,
+// and that the same body under an older version byte is malformed, not
+// silently misparsed.
 func TestV4OpsRejectedOnOldFrames(t *testing.T) {
 	for _, op := range []OpType{OpMembers, OpHandoff, OpIncr} {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.WriteRequest(&Request{ID: 1, Type: op, Key: "k"}); err != nil {
-			t.Fatalf("%s: v4 WriteRequest: %v", op, err)
+		if err := NewWriter(&buf).WriteRequest(&Request{ID: 1, Type: op, Key: "k"}); err != nil {
+			t.Fatalf("%s: WriteRequest: %v", op, err)
 		}
 		var got []Request
-		if _, err := NewReader(&buf).ReadRequests(&got); err != nil {
-			t.Fatalf("%s rejected on v4 frame: %v", op, err)
+		if _, err := NewReader(bytes.NewReader(buf.Bytes())).ReadRequests(&got); err != nil || got[0].Type != op {
+			t.Fatalf("%s on a current frame: decoded %+v, err %v", op, got, err)
 		}
-
-		// Forge the same body on a v3 frame: must be rejected.
-		buf.Reset()
-		w = NewWriter(&buf)
-		if err := w.EncodeRequest(&Request{ID: 1, Type: op, Key: "k"}); err != nil {
-			t.Fatalf("%s: encode: %v", op, err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-		raw[4] = Version3      // payload starts after the 4-byte length header
-		raw = raw[:len(raw)-1] // strip the v4 consistency byte
-		// Fix the length header for the stripped byte.
-		n := len(raw) - 4
-		raw[0], raw[1], raw[2], raw[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-		got = got[:0]
-		if _, err := NewReader(bytes.NewReader(raw)).ReadRequests(&got); !errors.Is(err, ErrBadMessage) {
-			t.Fatalf("%s accepted on v3 frame: err=%v", op, err)
+		old := withVersion(buf.Bytes(), 3)
+		if _, err := NewReader(bytes.NewReader(old)).ReadRequests(&got); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%s accepted on a version-3 frame: err=%v", op, err)
 		}
 	}
 }
 
-// TestBadConsistencyByteRejected forges a v4 frame whose trailing byte
+// TestBadConsistencyByteRejected forges a frame whose trailing byte
 // names no defined level.
 func TestBadConsistencyByteRejected(t *testing.T) {
 	var buf bytes.Buffer

@@ -35,7 +35,7 @@ func FuzzReadRequest(f *testing.F) {
 			if err := r.ReadRequest(&req); err != nil {
 				return // any error is acceptable; panics are not
 			}
-			if req.Type < OpGet || req.Type > OpCAS {
+			if req.Type < OpGet || req.Type > OpIncr {
 				t.Fatalf("decoder accepted invalid op type %d", req.Type)
 			}
 		}
@@ -105,7 +105,7 @@ func FuzzServerDecode(f *testing.F) {
 			if i == 0 && wantTooLarge {
 				t.Fatal("decoder accepted a frame claiming more than MaxFrameSize")
 			}
-			if req.Type < OpGet || req.Type > OpCAS {
+			if req.Type < OpGet || req.Type > OpIncr {
 				t.Fatalf("decoder accepted invalid op type %d", req.Type)
 			}
 			if len(req.Key)+len(req.Value)+len(req.OldValue) > MaxFrameSize {
@@ -159,7 +159,7 @@ func FuzzBatchDecode(f *testing.F) {
 				t.Fatalf("decoder accepted implausible batch of %d ops", len(reqs))
 			}
 			for j := range reqs {
-				if reqs[j].Type < OpGet || reqs[j].Type > OpCAS {
+				if reqs[j].Type < OpGet || reqs[j].Type > OpIncr {
 					t.Fatalf("op %d: decoder accepted invalid op type %d", j, reqs[j].Type)
 				}
 				if len(reqs[j].Key)+len(reqs[j].Value)+len(reqs[j].OldValue) > MaxFrameSize {

@@ -4,23 +4,13 @@
 //
 // Frame layout: a 4-byte big-endian payload length, then the payload.
 // Payload fields use fixed-width big-endian integers and length-prefixed
-// byte strings; layouts are versioned by the leading protocol byte.
+// byte strings. Every payload leads with the protocol version byte
+// (always Version; decoders reject any other) and a kind byte.
 //
-// Version 3 adds batch request frames: one frame carries every
-// operation of a multiget (or multiset) bound for one server, so the
-// transport pays one syscall per destination instead of one per
-// operation. Responses stay per-op so the server's scheduler can
-// reorder them freely. Negotiation is per connection and zero-RTT: a
-// Reader accepts v2, v3 and v4 frames, and a server echoes whatever
-// version the client's frames carry, so old peers keep working
-// unchanged. A newer client talking to an old server pins its Writer to
-// the old version — batches then degrade to runs of single-op frames
-// sharing one flush.
-//
-// Version 4 adds cluster-fabric fields: a per-operation consistency
-// level byte (ONE/QUORUM/ALL, trailing the request body so v2/v3
-// decoders are unaffected) and the OpMembers/OpHandoff operations that
-// carry gossip membership documents and join-time range streaming.
+// Batch request frames carry every operation of a multiget (or
+// multiset) bound for one server, so the transport pays one syscall per
+// destination instead of one per operation. Responses stay per-op so
+// the server's scheduler can reorder them freely.
 package wire
 
 import (
@@ -33,19 +23,10 @@ import (
 	"sync"
 )
 
-// Protocol versions. Version 2 added per-operation Timing (queue wait,
-// service time, scheduling class) to responses; Version 3 added batch
-// request frames; Version 4 added the trailing consistency-level byte
-// and the membership/handoff operations. The single-op frame layouts of
-// v2 and v3 are byte-identical apart from the version byte; v4 appends
-// exactly one byte to the request body and leaves responses unchanged.
-const (
-	Version2 = 2
-	Version3 = 3
-	Version4 = 4
-	// Version is the current (preferred) protocol version.
-	Version = Version4
-)
+// Version is the protocol version byte every frame carries; decoders
+// reject frames with any other value. It is 4 because the retired
+// layouts 2 and 3 used the lower values.
+const Version = 4
 
 // MaxFrameSize bounds a frame payload (16 MiB) to protect servers from
 // malformed or hostile length prefixes.
@@ -69,17 +50,17 @@ const (
 	OpDelete
 	OpStats
 	OpCAS
-	// OpMembers (v4) ignores the key and returns a JSON MembersDoc in
-	// the response value — the gossip control plane's view of the
-	// cluster, served from the data plane so clients and kvctl need no
-	// UDP access.
+	// OpMembers ignores the key and returns a JSON MembersDoc in the
+	// response value — the gossip control plane's view of the cluster,
+	// served from the data plane so clients and kvctl need no UDP
+	// access.
 	OpMembers
-	// OpHandoff (v4) streams one chunk of a shard's owned range during
+	// OpHandoff streams one chunk of a shard's owned range during
 	// join-time rebalancing: the request value carries a JSON
 	// HandoffRequest cursor, the response value a HandoffHeader line
 	// followed by store snapshot records (the WAL snapshot format).
 	OpHandoff
-	// OpIncr (v4) atomically adds a signed delta to an integer-valued
+	// OpIncr atomically adds a signed delta to an integer-valued
 	// key: the request value carries the delta as 8 big-endian
 	// two's-complement bytes, the response value the resulting total in
 	// ASCII decimal (the same representation GET returns), with the new
@@ -119,9 +100,7 @@ func (t OpType) String() string {
 // request's intent off a capture.
 type Consistency uint8
 
-// Consistency levels. The zero value defers to the configured default,
-// which keeps v2/v3 frames (that cannot carry the byte) meaning "the
-// pre-cluster behavior".
+// Consistency levels. The zero value defers to the configured default.
 const (
 	// ConsistencyDefault defers to the client's (or discovered server's)
 	// configured default level.
@@ -191,8 +170,8 @@ const (
 const (
 	kindRequest  = 1
 	kindResponse = 2
-	// kindBatch (v3+) is a request frame carrying several operations
-	// bound for the same server.
+	// kindBatch is a request frame carrying several operations bound
+	// for the same server.
 	kindBatch = 3
 )
 
@@ -268,8 +247,8 @@ type Request struct {
 	// older than the version it holds, making write fan-out and
 	// read-repair idempotent and convergent.
 	Version uint64
-	// Consistency is the operation's replica-coordination level (v4+;
-	// zero on older frames, meaning the configured default).
+	// Consistency is the operation's replica-coordination level (zero
+	// means the configured default).
 	Consistency Consistency
 }
 
@@ -547,28 +526,15 @@ func putScratch(b []byte) {
 
 // Writer encodes frames onto an io.Writer. Not safe for concurrent use.
 type Writer struct {
-	w       *bufio.Writer
-	buf     []byte
-	hdr     [4]byte // frame length header; a field so it never escapes per frame
-	version byte
+	w   *bufio.Writer
+	buf []byte
+	hdr [4]byte // frame length header; a field so it never escapes per frame
 }
 
-// NewWriter wraps w, emitting the current protocol version.
+// NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w), version: Version}
+	return &Writer{w: bufio.NewWriter(w)}
 }
-
-// SetVersion pins the protocol version this writer emits. Servers call
-// it to echo the version a client's frames carry; clients pin Version2
-// to interoperate with old servers. Unsupported versions are ignored.
-func (w *Writer) SetVersion(v byte) {
-	if v == Version2 || v == Version3 || v == Version4 {
-		w.version = v
-	}
-}
-
-// WireVersion returns the protocol version the writer emits.
-func (w *Writer) WireVersion() byte { return w.version }
 
 // Release returns the writer's scratch buffer to the shared pool. Call
 // it once, after the last Write/Encode; the writer remains usable and
@@ -588,9 +554,8 @@ func (w *Writer) scratch() []byte {
 
 // appendRequestBody encodes one operation's body (everything after the
 // version and kind bytes) — the layout shared by single-op and batch
-// frames, identical in v2 and v3; v4 appends the trailing consistency
-// byte.
-func appendRequestBody(buf []byte, r *Request, version byte) []byte {
+// frames.
+func appendRequestBody(buf []byte, r *Request) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.BigEndian.AppendUint64(buf, r.ID)
 	buf = appendBytes(buf, []byte(r.Key))
@@ -605,10 +570,7 @@ func appendRequestBody(buf []byte, r *Request, version byte) []byte {
 	buf = appendBytes(buf, r.OldValue)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.DeadlineNanos))
 	buf = binary.BigEndian.AppendUint64(buf, r.Version)
-	if version >= Version4 {
-		buf = append(buf, byte(r.Consistency))
-	}
-	return buf
+	return append(buf, byte(r.Consistency))
 }
 
 // WriteRequest encodes and flushes one request frame.
@@ -622,16 +584,14 @@ func (w *Writer) WriteRequest(r *Request) error {
 // EncodeRequest buffers one request frame without flushing.
 func (w *Writer) EncodeRequest(r *Request) error {
 	buf := w.scratch()
-	buf = append(buf, w.version, kindRequest)
-	buf = appendRequestBody(buf, r, w.version)
+	buf = append(buf, Version, kindRequest)
+	buf = appendRequestBody(buf, r)
 	w.buf = buf
 	return w.writeFrame()
 }
 
-// WriteBatch encodes every request as one v3 batch frame and flushes
-// once. On a writer pinned to Version2 the batch degrades to a run of
-// single-op v2 frames sharing the one flush — old servers parse them
-// unchanged, and the syscall coalescing is preserved.
+// WriteBatch encodes every request as one batch frame and flushes once
+// (a single request goes out as a single-op frame).
 func (w *Writer) WriteBatch(reqs []Request) error {
 	if len(reqs) == 0 {
 		return nil
@@ -642,19 +602,11 @@ func (w *Writer) WriteBatch(reqs []Request) error {
 	if len(reqs) > MaxBatchOps {
 		return ErrBatchTooLarge
 	}
-	if w.version < Version3 {
-		for i := range reqs {
-			if err := w.EncodeRequest(&reqs[i]); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	}
 	buf := w.scratch()
-	buf = append(buf, w.version, kindBatch)
+	buf = append(buf, Version, kindBatch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(reqs)))
 	for i := range reqs {
-		buf = appendRequestBody(buf, &reqs[i], w.version)
+		buf = appendRequestBody(buf, &reqs[i])
 	}
 	w.buf = buf
 	if err := w.writeFrame(); err != nil {
@@ -676,7 +628,7 @@ func (w *Writer) WriteResponse(r *Response) error {
 // flush (one syscall) with an explicit Flush after a drain.
 func (w *Writer) EncodeResponse(r *Response) error {
 	buf := w.scratch()
-	buf = append(buf, w.version, kindResponse, byte(r.Status))
+	buf = append(buf, Version, kindResponse, byte(r.Status))
 	buf = binary.BigEndian.AppendUint64(buf, r.ID)
 	buf = appendBytes(buf, r.Value)
 	buf = binary.BigEndian.AppendUint32(buf, r.Feedback.QueueLen)
@@ -757,20 +709,11 @@ func (r *Reader) next() ([]byte, error) {
 	return buf, nil
 }
 
-// versionOK reports whether v is a protocol version this reader
-// understands (v2 and v3 single-op layouts are identical; v4 appends a
-// consistency byte to requests).
-func versionOK(v byte) bool { return v == Version2 || v == Version3 || v == Version4 }
-
 // decodeRequestBody decodes one operation body (leading with its op
 // type byte) into req, reusing req's Value/OldValue backing arrays.
-func decodeRequestBody(d *decoder, req *Request, version byte) error {
+func decodeRequestBody(d *decoder, req *Request) error {
 	req.Type = OpType(d.byte())
-	maxOp := OpCAS
-	if version >= Version4 {
-		maxOp = OpIncr
-	}
-	if req.Type < OpGet || req.Type > maxOp {
+	if req.Type < OpGet || req.Type > OpIncr {
 		return ErrBadMessage
 	}
 	req.ID = d.u64()
@@ -786,34 +729,17 @@ func decodeRequestBody(d *decoder, req *Request, version byte) error {
 	req.OldValue = append(req.OldValue[:0], d.bytes()...)
 	req.DeadlineNanos = int64(d.u64())
 	req.Version = d.u64()
-	if version >= Version4 {
-		req.Consistency = Consistency(d.byte())
-		if req.Consistency > ConsistencyAll {
-			return ErrBadMessage
-		}
-	} else {
-		req.Consistency = ConsistencyDefault
-	}
-	if d.err != nil {
+	req.Consistency = Consistency(d.byte())
+	if d.err != nil || req.Consistency > ConsistencyAll {
 		return ErrBadMessage
 	}
 	return nil
 }
 
-// minRequestBody is the encoded size of a v2/v3 request body whose key,
+// minRequestBody is the encoded size of a request body whose key,
 // value, and old value are all empty — the decoder's plausibility floor
-// for batch operation counts. v4 bodies carry one more byte
-// (consistency).
-const minRequestBody = 1 + 8 + 4 + 4 + 40 + 8 + 4 + 8 + 8
-
-// minBodyFor returns the plausibility floor for one request body at the
-// given protocol version.
-func minBodyFor(version byte) int {
-	if version >= Version4 {
-		return minRequestBody + 1
-	}
-	return minRequestBody
-}
+// for batch operation counts.
+const minRequestBody = 1 + 8 + 4 + 4 + 40 + 8 + 4 + 8 + 8 + 1
 
 // ReadRequest decodes the next frame as a single-operation Request
 // (batch frames are rejected; servers use ReadRequests).
@@ -824,37 +750,32 @@ func (r *Reader) ReadRequest(req *Request) error {
 	}
 	d := decoder{buf: buf}
 	version, kind := d.byte(), d.byte()
-	if !versionOK(version) || kind != kindRequest {
+	if version != Version || kind != kindRequest {
 		return ErrBadMessage
 	}
-	return decodeRequestBody(&d, req, version)
+	return decodeRequestBody(&d, req)
 }
 
-// ReadRequests decodes the next frame — a single-op request or a v3
-// batch — into *reqs, reusing its backing array and each element's
-// byte buffers across calls. It returns the frame's protocol version so
-// servers can echo it on responses.
+// ReadRequests decodes the next frame — a single-op request or a batch
+// — into *reqs, reusing its backing array and each element's byte
+// buffers across calls. The returned version is always Version; frames
+// carrying any other version byte fail with ErrBadMessage.
 func (r *Reader) ReadRequests(reqs *[]Request) (version byte, err error) {
 	buf, err := r.next()
 	if err != nil {
 		return 0, err
 	}
 	d := decoder{buf: buf}
-	version = d.byte()
-	kind := d.byte()
-	if !versionOK(version) {
+	if d.byte() != Version {
 		return 0, ErrBadMessage
 	}
 	var count int
-	switch kind {
+	switch d.byte() {
 	case kindRequest:
 		count = 1
 	case kindBatch:
-		if version < Version3 {
-			return 0, ErrBadMessage
-		}
 		n := d.u32()
-		if d.err != nil || n == 0 || n > MaxBatchOps || int(n)*minBodyFor(version) > d.remain() {
+		if d.err != nil || n == 0 || n > MaxBatchOps || int(n)*minRequestBody > d.remain() {
 			return 0, ErrBadMessage
 		}
 		count = int(n)
@@ -868,12 +789,12 @@ func (r *Reader) ReadRequests(reqs *[]Request) (version byte, err error) {
 	batch = batch[:count]
 	*reqs = batch
 	for i := range batch {
-		if err := decodeRequestBody(&d, &batch[i], version); err != nil {
+		if err := decodeRequestBody(&d, &batch[i]); err != nil {
 			*reqs = batch[:0]
 			return 0, err
 		}
 	}
-	return version, nil
+	return Version, nil
 }
 
 // ReadResponse decodes the next frame as a Response.
@@ -884,7 +805,7 @@ func (r *Reader) ReadResponse(resp *Response) error {
 	}
 	d := decoder{buf: buf}
 	version, kind, status := d.byte(), d.byte(), d.byte()
-	if !versionOK(version) || kind != kindResponse {
+	if version != Version || kind != kindResponse {
 		return ErrBadMessage
 	}
 	resp.Status = Status(status)
