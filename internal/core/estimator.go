@@ -121,8 +121,8 @@ type Estimator struct {
 
 	mu    sync.Mutex
 	views map[sched.ServerID]*serverView
-	// sizes is the per-size-class service-time model fed by the
-	// calibration loop (see sizemodel.go).
+	// sizes is the size-to-service-time model fed by the calibration
+	// loop (see sizemodel.go).
 	sizes sizeModel
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -146,6 +148,91 @@ func TestRecalibrationPerServer(t *testing.T) {
 	}
 	if got := e.CalibrationRatio(1); got < 4 {
 		t.Fatalf("server 1 ratio = %v, want ~5", got)
+	}
+}
+
+// TestTagFeedbackLoopIsContraction closes the live demand loop in
+// process: the estimator's size model tags each op, a model server
+// serves it, measures its speed as nominal cost over elapsed time (the
+// server's rule) and answers with that speed and the service time, and
+// the client feeds both back. Whatever the stationary service
+// distribution, tags must track service — mean |tag − service| below
+// mean service — and must not drift: the second half's error is no
+// larger than the first half's. Two tags are scored: the scaled demand
+// DAS orders by, and the raw demand the wire carries, which the
+// server's tag-error metric reads. A speed derived from the client's
+// own tag makes the two sides feed each other, and the raw tag's error
+// then runs to between 4x and 1000x the mean service within these
+// 10,000 ops.
+func TestTagFeedbackLoopIsContraction(t *testing.T) {
+	const perByte = time.Microsecond
+	for _, tc := range []struct {
+		name string
+		size func(*rand.Rand) int64
+	}{
+		{"constant", func(*rand.Rand) int64 { return 2000 }},
+		{"bimodal-1ms-8ms", func(r *rand.Rand) int64 {
+			if r.IntN(10) == 0 {
+				return 8000
+			}
+			return 1000
+		}},
+		{"lognormal", func(r *rand.Rand) int64 {
+			return max(int64(math.Exp(math.Log(2000)+0.8*r.NormFloat64())), 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			est := mustEstimator(t, DefaultEstimatorConfig())
+			rng := rand.New(rand.NewPCG(7, 11))
+			// Two model servers, one at half speed; each starts its speed
+			// estimate at its SpeedFactor, as kv.Server does.
+			factor := []float64{1, 0.5}
+			speed := []float64{1, 0.5}
+			const n = 10_000
+			// Per half of the run: summed |scaled tag − service|,
+			// |wire tag − service| and service.
+			var scaledErr, wireErr, svc [2]float64
+			for i := 0; i < n; i++ {
+				srv := rng.IntN(2)
+				size := tc.size(rng)
+				demand, ok := est.SizedDemand(size)
+				if !ok {
+					demand = 100 * time.Microsecond // a static heuristic, deliberately wrong
+				}
+				now := time.Duration(i) * time.Millisecond
+				op := &sched.Op{Server: sched.ServerID(srv), Demand: demand}
+				Tag([]*sched.Op{op}, est, now)
+
+				// The server sleeps nominal/factor on a timer that
+				// overshoots by up to 1 ms, as a coarse host timer does,
+				// then applies its speed rule.
+				nominal := time.Duration(size) * perByte
+				elapsed := time.Duration(float64(nominal)/factor[srv] + rng.Float64()*float64(time.Millisecond))
+				speed[srv] += 0.2 * (float64(nominal)/float64(elapsed) - speed[srv])
+
+				est.Observe(Feedback{Server: sched.ServerID(srv), Speed: speed[srv], At: now})
+				est.ObserveService(sched.ServerID(srv), demand, elapsed)
+				est.ObserveSizedService(sched.ServerID(srv), size, elapsed)
+
+				half := 2 * i / n
+				scaledErr[half] += math.Abs(float64(op.Tags.ScaledDemand - elapsed))
+				wireErr[half] += math.Abs(float64(demand - elapsed))
+				svc[half] += float64(elapsed)
+			}
+			meanSvc := time.Duration((svc[0] + svc[1]) / n)
+			for _, tag := range []struct {
+				name string
+				err  [2]float64
+			}{{"scaled", scaledErr}, {"wire", wireErr}} {
+				if mean := time.Duration((tag.err[0] + tag.err[1]) / n); mean >= meanSvc {
+					t.Errorf("%s tag: mean |tag − service| = %v, not below mean service %v", tag.name, mean, meanSvc)
+				}
+			}
+			if scaledErr[1] > scaledErr[0] {
+				t.Errorf("scaled tag error grew: first half %v, second half %v per op",
+					time.Duration(scaledErr[0]/(n/2)), time.Duration(scaledErr[1]/(n/2)))
+			}
+		})
 	}
 }
 

@@ -6,95 +6,62 @@ import (
 	"github.com/daskv/daskv/internal/sched"
 )
 
-// sizeModelSplit separates the two learning cells of the size model.
-// It only needs to land somewhere between "mice" and "elephants" for
-// the slope fit to see two well-separated clusters; 64 KiB matches the
-// size-class classifier's pre-learning default.
-const sizeModelSplit = 64 << 10
-
-// sizeModelGain is the EWMA weight of one observation in a cell.
+// sizeModelGain is the EWMA weight of one observation in the fit.
 const sizeModelGain = 0.1
 
-// sizeModelMinWeight is the effective observation count each cell needs
-// before the model starts predicting. Until then SizedDemand reports
-// not-ready and callers keep their static demand heuristic.
+// sizeModelMinWeight is the observation count the model needs before it
+// starts predicting. Until then SizedDemand reports not-ready and
+// callers keep their static demand heuristic.
 const sizeModelMinWeight = 8.0
 
-// sizeCell is one size class's running view of observed service.
-type sizeCell struct {
-	timeNanos float64 // EWMA of speed-normalized service time
-	bytes     float64 // EWMA of payload size
-	weight    float64 // decayed observation count, saturating at 1/gain
-}
-
-func (c *sizeCell) observe(bytes, nanos float64) {
-	if c.weight == 0 {
-		c.timeNanos, c.bytes = nanos, bytes
-	} else {
-		c.timeNanos += sizeModelGain * (nanos - c.timeNanos)
-		c.bytes += sizeModelGain * (bytes - c.bytes)
-	}
-	if c.weight < sizeModelMinWeight {
-		c.weight++
-	}
-}
-
-// sizeModel is the estimator's per-size-class service-time model: two
-// EWMA cells (small and large payloads) whose difference quotient gives
-// a per-byte service cost, anchored by the small cell's fixed per-op
-// overhead. Linear in payload size is exactly the store's service shape
-// — a hash lookup plus a value copy — and two cells is the minimum that
-// can fit both the intercept and the slope from live traffic alone.
+// sizeModel is the estimator's service-time model: an exponentially
+// weighted least-squares fit of service = base + perByte·bytes. Linear
+// in payload size is exactly the store's service shape — a hash lookup
+// plus a value copy. It keeps the EWMA means of bytes (x) and service
+// (y) and the EWMA central moments var(x) and cov(x, y), so every size
+// on the wire moves the slope, and one payload size alone leaves it at
+// zero: the model then predicts the plain EWMA mean of service.
 type sizeModel struct {
-	cells [2]sizeCell // 0 = small payloads, 1 = large
+	x, y     float64 // EWMA means of payload bytes and speed-normalized service
+	vxx, cxy float64 // EWMA variance of x and covariance of x and y
+	weight   float64 // observation count, saturating at sizeModelMinWeight
 }
 
 func (m *sizeModel) observe(sizeBytes int64, nanos float64) {
 	if sizeBytes <= 0 || nanos <= 0 {
 		return
 	}
-	i := 0
-	if sizeBytes > sizeModelSplit {
-		i = 1
+	x := float64(sizeBytes)
+	if m.weight == 0 {
+		m.x, m.y = x, nanos
+	} else {
+		// West's incremental update: the deviations from the old means
+		// weigh the new point, then every moment decays by 1 − gain.
+		dx, dy := x-m.x, nanos-m.y
+		m.x += sizeModelGain * dx
+		m.y += sizeModelGain * dy
+		m.vxx = (1 - sizeModelGain) * (m.vxx + sizeModelGain*dx*dx)
+		m.cxy = (1 - sizeModelGain) * (m.cxy + sizeModelGain*dx*dy)
 	}
-	m.cells[i].observe(float64(sizeBytes), nanos)
+	if m.weight < sizeModelMinWeight {
+		m.weight++
+	}
 }
 
 // predict returns the modeled speed-nominal service demand for a
 // payload of the given size, or (0, false) before the model has seen
-// enough traffic.
+// enough traffic. Neither the slope nor the intercept goes negative:
+// service never shrinks as payloads grow, nor falls below zero.
 func (m *sizeModel) predict(sizeBytes int64) (time.Duration, bool) {
-	if sizeBytes <= 0 {
+	if sizeBytes <= 0 || m.weight < sizeModelMinWeight {
 		return 0, false
 	}
-	s, l := &m.cells[0], &m.cells[1]
-	switch {
-	case s.weight >= sizeModelMinWeight && l.weight >= sizeModelMinWeight:
-		// Fit time = base + perByte·bytes through the two cell means.
-		perByte := 0.0
-		if db := l.bytes - s.bytes; db > 0 {
-			perByte = (l.timeNanos - s.timeNanos) / db
-			if perByte < 0 {
-				perByte = 0
-			}
-		}
-		base := s.timeNanos - perByte*s.bytes
-		if base < 0 {
-			base = 0
-		}
-		d := time.Duration(base + perByte*float64(sizeBytes))
-		if d < time.Microsecond {
-			d = time.Microsecond
-		}
-		return d, true
-	case s.weight >= sizeModelMinWeight && float64(sizeBytes) <= sizeModelSplit:
-		// Only small traffic seen so far: its mean covers small asks.
-		return time.Duration(s.timeNanos), true
-	case l.weight >= sizeModelMinWeight && sizeBytes > sizeModelSplit:
-		return time.Duration(l.timeNanos), true
-	default:
-		return 0, false
+	perByte := 0.0
+	if m.vxx > 0 && m.cxy > 0 {
+		perByte = m.cxy / m.vxx
 	}
+	base := max(m.y-perByte*m.x, 0)
+	return max(time.Duration(base+perByte*float64(sizeBytes)), 1), true
 }
 
 // ObserveSizedService feeds the size model one completed operation: the
@@ -116,11 +83,11 @@ func (e *Estimator) ObserveSizedService(server sched.ServerID, sizeBytes int64, 
 }
 
 // SizedDemand predicts the speed-nominal service demand of an operation
-// from its payload size, using the learned per-size-class model. ok is
-// false until the model has seen enough sized traffic; callers then
-// fall back to their static demand heuristic. The per-server
-// calibration ratio is deliberately not applied here — the tagger
-// composes it on top, exactly as it does for heuristic demands.
+// from its payload size, using the learned size model. ok is false
+// until the model has seen enough sized traffic; callers then fall back
+// to their static demand heuristic. The per-server calibration ratio is
+// deliberately not applied here — the tagger composes it on top,
+// exactly as it does for heuristic demands.
 func (e *Estimator) SizedDemand(sizeBytes int64) (time.Duration, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -433,7 +433,7 @@ func (c *Client) observeService(server sched.ServerID, predicted time.Duration, 
 
 // demandFor estimates one operation's service demand and payload size.
 // A known size (a write's value, or a read with a SizeHint) prefers the
-// estimator's learned per-size-class model once it has seen enough
+// estimator's learned size model once it has seen enough
 // traffic — so a 1 MB get is tagged with the realistically large
 // demand its transfer implies — falling back to the static Demand
 // heuristic before the model is ready or when size is unknown.
@@ -451,8 +451,7 @@ func (c *Client) demandFor(op wire.OpType, key string, valueLen int) (demand tim
 	}
 	// The static model prices a read's expected payload like a write's
 	// actual one — without this a hinted 1 MB get would be tagged as a
-	// tiny op until the learned model warms up, inverting SRPT order
-	// and poisoning the server-speed feedback (demand vs elapsed).
+	// tiny op until the learned model warms up, inverting SRPT order.
 	if valueLen == 0 && sizeBytes > 0 && sizeBytes <= int64(int(^uint(0)>>1)) {
 		valueLen = int(sizeBytes)
 	}

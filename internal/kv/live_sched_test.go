@@ -238,6 +238,38 @@ func TestLiveQueueStarvationBound(t *testing.T) {
 	}
 }
 
+// TestLiveSpeedIgnoresClientTag asserts the server owns its speed
+// feedback: it is the nominal cost of the bytes served over the measured
+// service time, so a client whose demand tags are 1000x too large cannot
+// talk the server into reporting 1000x speed — the runaway that fed a
+// wrong tag back into the client's own size model.
+func TestLiveSpeedIgnoresClientTag(t *testing.T) {
+	for _, factor := range []float64{1, 0.5} {
+		t.Run(fmt.Sprint(factor), func(t *testing.T) {
+			srv, err := NewServer(ServerConfig{
+				ID: 0, Addr: "127.0.0.1:0", Policy: core.Factory(core.LiveOptions()),
+				Workers: 1, Cost: keyCost, SpeedFactor: factor,
+			})
+			if err != nil {
+				t.Fatalf("NewServer: %v", err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			c := dialRaw(t, srv.Addr())
+			// 5 ms of nominal service leaves room for timer overshoot
+			// inside the 0.7 floor on a loaded host.
+			for i := 1; i <= 20; i++ {
+				req := taggedGet(uint64(i), 5, 5*time.Millisecond, 0)
+				req.Tags.DemandNanos *= 1000
+				c.send(&req)
+				c.recv()
+				if got := srv.StatsSnapshot().Speed; got < 0.7*factor || got > factor {
+					t.Fatalf("after %d gets tagged 1000x their cost, speed = %v, want within [0.7, 1] x %v", i, got, factor)
+				}
+			}
+		})
+	}
+}
+
 // TestLiveBatchOneSchedClass asserts a coherently tagged v3 batch
 // frame is admitted under one scheduling decision: every operation of
 // the frame reports the same class, while each still gets its own

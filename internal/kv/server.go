@@ -1093,6 +1093,7 @@ func (s *Server) serve(op *sched.Op) {
 			resp.Status = wire.StatusError
 		}
 	}
+	var nominal time.Duration
 	if s.cfg.Cost != nil {
 		// The payload that moved prices the op: a get costs the bytes it
 		// returns, a mutation the bytes it wrote.
@@ -1100,7 +1101,8 @@ func (s *Server) serve(op *sched.Op) {
 		if n := len(resp.Value); n > vlen {
 			vlen = n
 		}
-		s.burn(time.Duration(float64(s.cfg.Cost(p.typ, len(p.key), vlen)) / s.cfg.SpeedFactor))
+		nominal = s.cfg.Cost(p.typ, len(p.key), vlen)
+		s.burn(time.Duration(float64(nominal) / s.cfg.SpeedFactor))
 	}
 	elapsed := time.Since(began)
 	resp.Timing.ServiceNanos = int64(elapsed)
@@ -1110,8 +1112,11 @@ func (s *Server) serve(op *sched.Op) {
 	s.metrics.observe(p.typ, waited, elapsed, op.Demand)
 
 	s.mu.Lock()
-	if s.cfg.Cost != nil && elapsed > 0 {
-		observed := float64(op.Demand) / float64(elapsed)
+	if nominal > 0 && elapsed > 0 {
+		// Speed is nominal work over the time it took, both measured
+		// here: the client's demand tag never enters, so a wrong tag
+		// cannot feed back into the speed the client learns from.
+		observed := float64(nominal) / float64(elapsed)
 		s.speedEWMA += 0.2 * (observed - s.speedEWMA)
 	}
 	if s.split != nil {
@@ -1141,7 +1146,7 @@ func (s *Server) finishResponse(p *pendingOp, resp *wire.Response) {
 	resp.Feedback = wire.Feedback{
 		QueueLen:     uint32(s.queue.Len()),
 		BacklogNanos: int64(s.queue.BacklogDemand()),
-		SpeedMilli:   uint32(s.speedEWMA * 1000),
+		SpeedMilli:   wire.MilliSpeed(s.speedEWMA),
 	}
 	s.served++
 	if p.typ == wire.OpStats && resp.Status == wire.StatusOK {

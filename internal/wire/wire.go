@@ -261,6 +261,20 @@ type Feedback struct {
 	SpeedMilli uint32
 }
 
+// MilliSpeed converts a speed (1.0 = nominal) to its SpeedMilli form,
+// saturating at the field's range instead of wrapping: a wrapped speed
+// would tell the client a fast server is nearly stopped.
+func MilliSpeed(speed float64) uint32 {
+	m := speed * 1000
+	switch {
+	case m >= math.MaxUint32:
+		return math.MaxUint32
+	case m > 0:
+		return uint32(m)
+	}
+	return 0
+}
+
 // Timing is the server-side timeline of one operation, reported on its
 // response so clients can attribute request latency to queueing versus
 // service — and flag the straggler of a multiget — without any extra

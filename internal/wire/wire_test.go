@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,42 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	if len(got.Value) != 0 {
 		t.Fatalf("value = %q, want empty", got.Value)
+	}
+}
+
+// TestMilliSpeedSaturates asserts the speed feedback conversion clamps
+// to the field's range: a speed past ~4.3e6 must not wrap to a small
+// number, and a non-positive or NaN speed reads as 0.
+func TestMilliSpeedSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		speed float64
+		want  uint32
+	}{
+		{1, 1000},
+		{0.85, 850},
+		{0, 0},
+		{-2, 0},
+		{math.NaN(), 0},
+		{4_294_967, 4_294_967_000},
+		{4_294_968, math.MaxUint32},
+		{5e6, math.MaxUint32},
+		{math.Inf(1), math.MaxUint32},
+	} {
+		if got := MilliSpeed(tc.speed); got != tc.want {
+			t.Errorf("MilliSpeed(%v) = %d, want %d", tc.speed, got, tc.want)
+		}
+	}
+	var buf bytes.Buffer
+	want := Response{ID: 1, Status: StatusOK, Feedback: Feedback{SpeedMilli: MilliSpeed(1e9)}}
+	if err := NewWriter(&buf).WriteResponse(&want); err != nil {
+		t.Fatalf("WriteResponse: %v", err)
+	}
+	var got Response
+	if err := NewReader(&buf).ReadResponse(&got); err != nil {
+		t.Fatalf("ReadResponse: %v", err)
+	}
+	if got.Feedback.SpeedMilli != math.MaxUint32 {
+		t.Fatalf("speed 1e9 decoded as %d milli, want saturated %d", got.Feedback.SpeedMilli, uint32(math.MaxUint32))
 	}
 }
 
