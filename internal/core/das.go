@@ -295,7 +295,7 @@ func (q *DAS) admit(op *sched.Op, now time.Duration, fire, near bool) {
 		q.fifo = append(q.fifo, agingEntry{op: op, seq: seq})
 	}
 	if q.opts.AgingBound > 0 {
-		heap.Push(&q.aging, agingEntry{op: op, seq: seq, deadline: now + q.agingAllowance(op)})
+		q.aging.push(agingEntry{op: op, seq: seq, deadline: now + q.agingAllowance(op)})
 	}
 }
 
@@ -380,13 +380,13 @@ func (q *DAS) agingExpired(now time.Duration) *sched.Op {
 	for len(q.aging) > 0 {
 		top := q.aging[0]
 		if !q.holds(top) {
-			heap.Pop(&q.aging) // served long ago; drop the stale entry
+			q.aging.pop() // served long ago; drop the stale entry
 			continue
 		}
 		if top.deadline >= now {
 			return nil // the earliest deadline has not expired yet
 		}
-		heap.Pop(&q.aging)
+		q.aging.pop()
 		return top.op
 	}
 	return nil
@@ -492,20 +492,46 @@ type agingEntry struct {
 
 // agingHeap is a min-heap on promotion deadline. It does not track
 // positions: ops served through the priority heap leave their entries
-// behind, to be skipped lazily (HeapIndex < 0) when they surface.
+// behind, to be skipped lazily (see holds) when they surface. It sifts
+// typed entries itself rather than going through container/heap, whose
+// Push and Pop box every entry in an interface — an allocation per
+// queued op on the live server's path.
 type agingHeap []agingEntry
 
-var _ heap.Interface = (*agingHeap)(nil)
+// push adds e and restores the heap order.
+func (h *agingHeap) push(e agingEntry) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if a[parent].deadline <= a[i].deadline {
+			break
+		}
+		a[parent], a[i] = a[i], a[parent]
+		i = parent
+	}
+}
 
-func (h agingHeap) Len() int           { return len(h) }
-func (h agingHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h agingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *agingHeap) Push(x any)        { *h = append(*h, x.(agingEntry)) }
-func (h *agingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = agingEntry{}
-	*h = old[:n-1]
-	return e
+// pop removes the earliest-deadline entry; the heap must be non-empty.
+func (h *agingHeap) pop() {
+	a := *h
+	n := len(a) - 1
+	a[0] = a[n]
+	a[n] = agingEntry{}
+	a = a[:n]
+	for i := 0; ; {
+		small, l := i, 2*i+1
+		if l < n && a[l].deadline < a[small].deadline {
+			small = l
+		}
+		if r := l + 1; r < n && a[r].deadline < a[small].deadline {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		a[i], a[small] = a[small], a[i]
+		i = small
+	}
+	*h = a
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -399,6 +401,52 @@ func TestDASAgingLazyDeletion(t *testing.T) {
 	}
 	if len(q.aging) != 0 {
 		t.Fatalf("drained queue left %d aging entries", len(q.aging))
+	}
+}
+
+// TestAgingHeapOrder asserts the aging heap surfaces entries in
+// deadline order under interleaved pushes and pops.
+func TestAgingHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	var h agingHeap
+	var ref []time.Duration
+	for step := 0; step < 5000; step++ {
+		if len(h) == 0 || rng.IntN(3) > 0 {
+			d := time.Duration(rng.IntN(1000))
+			h.push(agingEntry{deadline: d})
+			ref = append(ref, d)
+			continue
+		}
+		slices.Sort(ref)
+		if h[0].deadline != ref[0] {
+			t.Fatalf("step %d: top deadline %v, want %v", step, h[0].deadline, ref[0])
+		}
+		h.pop()
+		ref = ref[1:]
+	}
+}
+
+// TestDASAgingPushPopAllocFree asserts queueing under the live options'
+// starvation bound allocates nothing per op once the queue has grown.
+func TestDASAgingPushPopAllocFree(t *testing.T) {
+	q := mustDAS(t, LiveOptions())
+	ops := make([]*sched.Op, 8)
+	for i := range ops {
+		ops[i] = dasOp(sched.RequestID(i), time.Duration(i+1)*time.Millisecond, 0)
+	}
+	now := time.Duration(0)
+	cycle := func() {
+		now += time.Microsecond
+		for _, op := range ops {
+			q.Push(op, now)
+		}
+		for range ops {
+			q.Pop(now)
+		}
+	}
+	cycle() // grow the heaps and the live map
+	if got := testing.AllocsPerRun(100, cycle); got > 0 {
+		t.Errorf("push+pop of 8 ops allocates %.1f per cycle, want 0", got)
 	}
 }
 

@@ -510,18 +510,19 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	return c.GetLevel(ctx, key, wire.ConsistencyDefault)
 }
 
-// get is the single-holder read path: one selector-chosen replica via
-// the multiget machinery (retries, failover, tracing included).
+// get is the single-holder read path: a one-key multiget (retries,
+// failover and tracing included) without the result map.
 func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
-	res, err := c.MGet(ctx, []string{key})
-	if err != nil {
-		return nil, err
-	}
-	v, ok := res[key]
-	if !ok {
+	m := c.readKeys(ctx, []string{key})
+	defer m.release()
+	s := &m.slots[0]
+	switch {
+	case s.err != nil:
+		return nil, &PartialError{Errs: map[string]error{key: s.err}}
+	case !s.found:
 		return nil, ErrNotFound
 	}
-	return v, nil
+	return s.value, nil
 }
 
 // Put stores one key on every replica (synchronous write fan-out).
@@ -694,70 +695,33 @@ type writeOp struct {
 // first per-op failure (transport, server error, or deadline shed).
 func (c *Client) putBatch(ctx context.Context, server sched.ServerID, ops []writeOp) error {
 	now := c.now()
-	cc, err := c.conn(server)
-	if err != nil {
-		return err
-	}
-	dl := deadlineBudget(ctx)
-	reqs := make([]wire.Request, len(ops))
-	ids := make([]uint64, len(ops))
-	chs := make([]chan wire.Response, len(ops))
-	demands := make([]time.Duration, len(ops))
-	// Writes are tagged individually (fanout 1), matching the single-key
-	// path; one reusable op keeps the loop allocation-free.
-	var op sched.Op
-	tagBuf := []*sched.Op{&op}
+	m := c.newCall(ctx, len(ops), false)
+	defer m.release()
 	for i, wo := range ops {
+		s := &m.slots[i]
 		demand, size := c.demandFor(wire.OpPut, wo.key, len(wo.value))
-		demands[i] = demand
-		op = sched.Op{
-			Server: server,
-			Key:    wo.key,
-			Demand: demands[i],
-		}
-		op.Tags.SizeBytes = size
-		core.Tag(tagBuf, c.taggingEst(), now)
-		id := c.nextID.Add(1)
-		ids[i] = id
-		chs[i] = cc.register(id)
-		reqs[i] = wire.Request{
-			ID: id, Type: wire.OpPut, Key: wo.key, Value: wo.value,
-			Tags: wireTags(&op), DeadlineNanos: dl, Version: wo.version,
-		}
+		s.op = sched.Op{Server: server, Key: wo.key, Demand: demand}
+		s.op.Tags.SizeBytes = size
+		s.typ, s.sent = wire.OpPut, len(wo.value)
+		// Writes are tagged individually (fanout 1), matching the
+		// single-key path.
+		core.Tag(m.ops[i:i+1], c.taggingEst(), now)
 	}
-	if werr := cc.writeBatch(reqs); werr != nil {
-		for _, id := range ids {
-			cc.unregister(id)
-		}
-		c.noteServerFailure(server)
-		return fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, server, werr)
-	}
+	m.dispatchByServer(func(i int) wire.Request {
+		wo := ops[i]
+		return wire.Request{Type: wire.OpPut, Key: wo.key, Value: wo.value, Version: wo.version}
+	})
+	m.wait()
 	var firstErr error
-	for i := range ops {
-		var opErr error
-		select {
-		case resp, ok := <-chs[i]:
-			switch {
-			case !ok:
-				opErr = fmt.Errorf("%w: connection to server %d lost awaiting %q",
-					ErrUnavailable, server, ops[i].key)
-			case resp.Status == wire.StatusError:
-				opErr = fmt.Errorf("kv: server error for key %q", ops[i].key)
-			case resp.Status == wire.StatusDeadlineExceeded:
-				opErr = fmt.Errorf("kv: server %d shed %q past its deadline: %w",
-					server, ops[i].key, context.DeadlineExceeded)
-			}
-			if ok {
-				c.observeService(server, demands[i], resp.Timing, resp.Status, int64(len(ops[i].value)))
-				putRespChan(chs[i])
-				putValueBuf(resp.Value)
-			}
-		case <-ctx.Done():
-			cc.unregister(ids[i])
-			opErr = ctx.Err()
+	for i := range m.slots {
+		s := &m.slots[i]
+		err := s.err
+		if err == nil {
+			err = s.statusErr()
 		}
-		if opErr != nil && firstErr == nil {
-			firstErr = opErr
+		putValueBuf(s.value)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -819,11 +783,12 @@ func (c *Client) fanoutWrite(ctx context.Context, req wire.Request) (bool, error
 	return anyOK, nil
 }
 
-// routeRead picks the serving replica for a read of key at time now and
-// records the dispatch in the selector's in-flight accounting; every
-// routeRead must be balanced by exactly one retireRead.
-func (c *Client) routeRead(key string, demand, now time.Duration) sched.ServerID {
-	s := c.sel.Pick(c.place.For(key), demand, now)
+// routeRead picks the serving replica for a read among cands (the
+// key's holders in placement order) at time now and records the
+// dispatch in the selector's in-flight accounting; every routeRead must
+// be balanced by exactly one retireRead.
+func (c *Client) routeRead(cands []sched.ServerID, demand, now time.Duration) sched.ServerID {
+	s := c.sel.Pick(cands, demand, now)
 	c.sel.OnDispatch(s)
 	return s
 }
@@ -849,63 +814,70 @@ func (c *Client) MGet(ctx context.Context, keys []string) (map[string][]byte, er
 	if len(keys) == 0 {
 		return map[string][]byte{}, nil
 	}
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
-	wallStart := time.Now()
-	now := c.now()
-	opsBacking := make([]sched.Op, len(keys))
-	ops := make([]*sched.Op, len(keys))
-	scores := make([]time.Duration, len(keys))
-	for i, k := range keys {
-		demand, size := c.demandFor(wire.OpGet, k, 0)
-		// Routing the batch sequentially lets the selector's in-flight
-		// accounting spread a wide multiget across replicas instead of
-		// dogpiling the holder that looked best a microsecond ago.
-		opsBacking[i] = sched.Op{
-			Server: c.routeRead(k, demand, now),
-			Key:    k,
-			Demand: demand,
-		}
-		opsBacking[i].Tags.SizeBytes = size
-		ops[i] = &opsBacking[i]
-		scores[i] = c.sel.ScoreOf(ops[i].Server, demand, now).Finish - now
-	}
-	core.Tag(ops, c.taggingEst(), now)
-
-	// Group the fan-out by destination server: one goroutine and one
-	// batch frame per server, instead of one goroutine and one wire
-	// frame per operation. Responses stay per-op, so the server's
-	// scheduler reorders freely within and across batches.
-	groups := make(map[sched.ServerID][]int, len(c.cfg.Servers))
-	for i, op := range ops {
-		groups[op.Server] = append(groups[op.Server], i)
-	}
-	results := make(chan keyResult, len(ops))
-	for server, idxs := range groups {
-		server, idxs := server, idxs
-		go c.mgetBatch(ctx, server, ops, idxs, scores, now, results)
-	}
+	m := c.readKeys(ctx, keys)
+	defer m.release()
 	out := make(map[string][]byte, len(keys))
 	var failed map[string]error
-	traces := make([]OpTrace, len(ops))
-	for range ops {
-		r := <-results
-		traces[r.index] = r.trace
-		switch {
-		case r.err != nil:
+	for i := range m.slots {
+		switch s := &m.slots[i]; {
+		case s.err != nil:
 			if failed == nil {
 				failed = make(map[string]error)
 			}
-			failed[keys[r.index]] = r.err
-		case r.found:
-			out[keys[r.index]] = r.value
+			failed[keys[i]] = s.err
+		case s.found:
+			out[keys[i]] = s.value
 		}
 	}
-	c.recordRequest(wallStart, traces, failed != nil)
 	if failed != nil {
 		return out, &PartialError{Errs: failed}
 	}
 	return out, nil
+}
+
+// readKeys resolves one read per key on a pooled call and records the
+// request; the caller reads the resolved slots, in key order, and
+// releases the call. Ops are routed and tagged as one request, then
+// each destination server's share goes out inline as one batch frame.
+// Responses stay per-op, so the server's scheduler reorders freely
+// within and across batches; the read loops complete the slots and
+// wake this goroutine once, when the last one is done.
+func (c *Client) readKeys(ctx context.Context, keys []string) *call {
+	ctx, cancel := c.opCtx(ctx)
+	defer cancel()
+	wallStart := time.Now()
+	now := c.now()
+	m := c.newCall(ctx, len(keys), true)
+	for i, k := range keys {
+		s := &m.slots[i]
+		demand, size := c.demandFor(wire.OpGet, k, 0)
+		// Routing the batch sequentially lets the selector's in-flight
+		// accounting spread a wide multiget across replicas instead of
+		// dogpiling the holder that looked best a microsecond ago.
+		m.route = c.place.AppendFor(m.route[:0], k)
+		s.op = sched.Op{Server: c.routeRead(m.route, demand, now), Key: k, Demand: demand}
+		s.op.Tags.SizeBytes = size
+		s.typ = wire.OpGet
+		s.score = c.sel.ScoreOf(s.op.Server, demand, now).Finish - now
+	}
+	core.Tag(m.ops, c.taggingEst(), now)
+	m.dispatchByServer(func(i int) wire.Request {
+		return wire.Request{Type: wire.OpGet, Key: keys[i]}
+	})
+	m.wait()
+	partial := false
+	for i := range m.slots {
+		s := &m.slots[i]
+		s.resolve()
+		if s.err != nil {
+			partial = true
+		} else if s.attempts > 1 {
+			// The failed holder may have missed writes while unreachable.
+			c.maybeRepair(s.op.Key)
+		}
+	}
+	c.recordRequest(wallStart, m.trace(now), partial)
+	return m
 }
 
 // recordRequest finalizes a multiget's trace — flags the straggler,
@@ -936,121 +908,6 @@ func (c *Client) recordRequest(wallStart time.Time, traces []OpTrace, partial bo
 	})
 }
 
-// keyResult is one resolved multiget operation flowing back to MGet's
-// collector.
-type keyResult struct {
-	index int
-	value []byte
-	found bool
-	err   error
-	trace OpTrace
-}
-
-// emitResult delivers one resolved multiget operation, building its
-// trace entry. A plain method with explicit arguments (no captured
-// closure) so the happy path allocates nothing per group.
-func (c *Client) emitResult(results chan<- keyResult, op *sched.Op, i int, score, start, reqStart time.Duration, value []byte, found bool, tm wire.Timing, attempts int, err error) {
-	res := keyResult{index: i, value: value, found: found, err: err}
-	res.trace = OpTrace{
-		Index:          i,
-		Key:            op.Key,
-		Server:         op.Server,
-		Replicas:       c.cfg.Replicas,
-		Attempts:       attempts,
-		Start:          start - reqStart,
-		End:            c.now() - reqStart,
-		ExpectedFinish: op.Tags.ExpectedFinish - reqStart,
-		Score:          score,
-		Wait:           time.Duration(tm.WaitNanos),
-		Service:        time.Duration(tm.ServiceNanos),
-		Class:          sched.Class(tm.SchedClass).String(),
-		Bytes:          len(value),
-		Found:          found,
-	}
-	if err != nil {
-		res.trace.Err = err.Error()
-	}
-	results <- res
-}
-
-// retryEmit continues one failed read on the retry ladder and emits its
-// final outcome — the goroutine body for ops that leave the batch path.
-func (c *Client) retryEmit(ctx context.Context, op *sched.Op, i int, score, start, reqStart time.Duration, results chan<- keyResult, lastErr error, lastTm wire.Timing) {
-	value, found, tm, attempts, err := c.retryGet(ctx, op, lastErr, lastTm, 1)
-	c.emitResult(results, op, i, score, start, reqStart, value, found, tm, attempts, err)
-}
-
-// retryAllEmit hands every op in a group to its own retry continuation
-// after a whole-batch transport failure — the rare path, so the
-// goroutine-per-op cost returns only under failure. Each op's dispatch
-// accounting is retired here; the retry ladder re-routes from scratch.
-func (c *Client) retryAllEmit(ctx context.Context, ops []*sched.Op, idxs []int, scores []time.Duration, start, reqStart time.Duration, results chan<- keyResult, err error) {
-	for _, i := range idxs {
-		op := ops[i]
-		c.retireRead(op.Server)
-		go c.retryEmit(ctx, op, i, scores[i], start, reqStart, results, err, wire.Timing{})
-	}
-}
-
-// getWaiter pairs one in-flight read's wire ID with its response
-// channel.
-type getWaiter struct {
-	id uint64
-	ch chan wire.Response
-}
-
-// mgetBatch resolves one destination server's share of a multiget: it
-// registers every waiter, sends the whole group as one batch frame
-// (split only past the frame limits), then collects per-op responses.
-// Operations that fail in a retryable way continue individually on the
-// existing re-route-and-backoff path, so batching never weakens the
-// degraded-multiget guarantees.
-func (c *Client) mgetBatch(ctx context.Context, server sched.ServerID, ops []*sched.Op, idxs []int, scores []time.Duration, reqStart time.Duration, results chan<- keyResult) {
-	start := c.now()
-	cc, err := c.conn(server)
-	if err != nil {
-		if !errors.Is(err, ErrClientClosed) {
-			err = fmt.Errorf("%w: %w", ErrUnavailable, err)
-		}
-		c.retryAllEmit(ctx, ops, idxs, scores, start, reqStart, results, err)
-		return
-	}
-	dl := deadlineBudget(ctx)
-	waiters := make([]getWaiter, len(idxs))
-	reqs := make([]wire.Request, len(idxs))
-	for j, i := range idxs {
-		op := ops[i]
-		id := c.nextID.Add(1)
-		waiters[j] = getWaiter{id: id, ch: cc.register(id)}
-		reqs[j] = wire.Request{
-			ID:            id,
-			Type:          wire.OpGet,
-			Key:           op.Key,
-			Tags:          wireTags(op),
-			DeadlineNanos: dl,
-		}
-	}
-	if werr := c.writeChunked(cc, reqs); werr != nil {
-		for _, w := range waiters {
-			cc.unregister(w.id)
-		}
-		c.noteServerFailure(server)
-		c.retryAllEmit(ctx, ops, idxs, scores, start, reqStart, results,
-			fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, server, werr))
-		return
-	}
-	for j, i := range idxs {
-		op := ops[i]
-		value, _, found, tm, err := c.awaitGet(ctx, cc, waiters[j].id, waiters[j].ch, op)
-		c.retireRead(op.Server)
-		if err == nil {
-			c.emitResult(results, op, i, scores[i], start, reqStart, value, found, tm, 1, nil)
-			continue
-		}
-		go c.retryEmit(ctx, op, i, scores[i], start, reqStart, results, err, tm)
-	}
-}
-
 // writeChunked sends reqs as one batch frame, splitting only when the
 // group exceeds the per-frame operation or byte limits.
 func (c *Client) writeChunked(cc *clientConn, reqs []wire.Request) error {
@@ -1073,121 +930,20 @@ func (c *Client) writeChunked(cc *clientConn, reqs []wire.Request) error {
 	return nil
 }
 
-// retryGet continues a read whose dispatches so far (attempts of them,
-// the last failing with lastErr) were unsuccessful, re-routing around
-// servers marked down with jittered backoff between attempts — the
-// same degradation ladder the pre-batching per-op path used. A read
-// that succeeds only here schedules read-repair for the key: the
-// failed holder may have missed writes while unreachable.
-func (c *Client) retryGet(ctx context.Context, op *sched.Op, lastErr error, lastTm wire.Timing, attempts int) (value []byte, found bool, tm wire.Timing, n int, err error) {
-	for {
-		if ctx.Err() != nil || errors.Is(lastErr, ErrClientClosed) {
-			return nil, false, lastTm, attempts, lastErr
-		}
-		if attempts > c.cfg.ReadRetries || !errors.Is(lastErr, ErrUnavailable) {
-			return nil, false, lastTm, attempts, lastErr
-		}
-		if serr := c.retrySleep(ctx, attempts-1); serr != nil {
-			return nil, false, lastTm, attempts, lastErr
-		}
-		// Re-route: the failed server is marked down now, so a
-		// replicated key lands on a healthy holder; re-stamp tags for
-		// the fresh dispatch.
-		c.cm.noteRetry()
-		rnow := c.now()
-		op.Server = c.routeRead(op.Key, op.Demand, rnow)
-		core.Tag([]*sched.Op{op}, c.taggingEst(), rnow)
-		value, _, found, tm, err = c.tryGet(ctx, op, wire.ConsistencyDefault)
-		c.retireRead(op.Server)
-		attempts++
-		if err == nil {
-			c.maybeRepair(op.Key)
-			return value, found, tm, attempts, nil
-		}
-		lastErr, lastTm = err, tm
-	}
-}
-
-// awaitGet waits out one registered read response and maps its status
-// to the read result. Value buffers that are not surfaced to the
-// caller return to the shared pool here.
-func (c *Client) awaitGet(ctx context.Context, cc *clientConn, id uint64, ch chan wire.Response, op *sched.Op) (value []byte, version uint64, found bool, tm wire.Timing, err error) {
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, 0, false, tm, fmt.Errorf("%w: connection to server %d lost awaiting %q",
-				ErrUnavailable, op.Server, op.Key)
-		}
-		putRespChan(ch)
-		tm = resp.Timing
-		c.observeService(op.Server, op.Demand, tm, resp.Status, int64(len(resp.Value)))
-		switch resp.Status {
-		case wire.StatusOK:
-			return resp.Value, resp.Version, true, tm, nil
-		case wire.StatusNotFound:
-			putValueBuf(resp.Value)
-			return nil, 0, false, tm, nil
-		case wire.StatusDeadlineExceeded:
-			putValueBuf(resp.Value)
-			return nil, 0, false, tm, fmt.Errorf("kv: server %d shed %q past its deadline: %w",
-				op.Server, op.Key, context.DeadlineExceeded)
-		default:
-			putValueBuf(resp.Value)
-			return nil, 0, false, tm, fmt.Errorf("kv: server error for key %q", op.Key)
-		}
-	case <-ctx.Done():
-		cc.unregister(id)
-		return nil, 0, false, tm, ctx.Err()
-	}
-}
-
-// tryGet performs a single dispatch of one read operation; the caller
-// owns the selector's in-flight accounting for op.Server. tm carries
-// the server-reported timeline whenever a response arrived (including
-// not-found and shed responses).
-func (c *Client) tryGet(ctx context.Context, op *sched.Op, level wire.Consistency) (value []byte, version uint64, found bool, tm wire.Timing, err error) {
-	cc, err := c.conn(op.Server)
-	if err != nil {
-		if errors.Is(err, ErrClientClosed) {
-			return nil, 0, false, tm, err
-		}
-		return nil, 0, false, tm, fmt.Errorf("%w: %w", ErrUnavailable, err)
-	}
-	id := c.nextID.Add(1)
-	ch := cc.register(id)
-	req := wire.Request{
-		ID:            id,
-		Type:          wire.OpGet,
-		Key:           op.Key,
-		Tags:          wireTags(op),
-		DeadlineNanos: deadlineBudget(ctx),
-		Consistency:   level,
-	}
-	if err := cc.writeRequest(&req); err != nil {
-		cc.unregister(id)
-		c.noteServerFailure(op.Server)
-		return nil, 0, false, tm, fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, op.Server, err)
-	}
-	return c.awaitGet(ctx, cc, id, ch, op)
-}
-
 // getFrom performs one direct versioned read against a specific replica
 // holder, bypassing selection (used by read-repair to audit every
 // holder).
 func (c *Client) getFrom(ctx context.Context, server sched.ServerID, key string, level wire.Consistency) replica.ReadResult {
-	now := c.now()
-	demand, size := c.demandFor(wire.OpGet, key, 0)
-	op := &sched.Op{
-		Server: server,
-		Key:    key,
-		Demand: demand,
+	resp, err := c.send(ctx, server, wire.Request{Type: wire.OpGet, Key: key, Consistency: level})
+	switch {
+	case err != nil:
+		return replica.ReadResult{Server: server, Err: err}
+	case resp.Status != wire.StatusOK: // not found
+		putValueBuf(resp.Value)
+		return replica.ReadResult{Server: server}
 	}
-	op.Tags.SizeBytes = size
-	core.Tag([]*sched.Op{op}, c.taggingEst(), now)
-	value, version, found, _, err := c.tryGet(ctx, op, level)
 	return replica.ReadResult{
-		Server: server, Value: value, Version: replica.Version(version),
-		Found: found, Err: err,
+		Server: server, Value: resp.Value, Version: replica.Version(resp.Version), Found: true,
 	}
 }
 
@@ -1296,42 +1052,25 @@ func (c *Client) ReplicaScores(key string) []replica.Score {
 // shed comes back as an error; any other status is the caller's to
 // interpret.
 func (c *Client) send(ctx context.Context, server sched.ServerID, req wire.Request) (*wire.Response, error) {
+	m := c.newCall(ctx, 1, false)
+	defer m.release()
+	s := &m.slots[0]
 	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
-	op := &sched.Op{Server: server, Key: req.Key, Demand: demand}
-	op.Tags.SizeBytes = size
-	core.Tag([]*sched.Op{op}, c.taggingEst(), c.now())
-	cc, err := c.conn(server)
+	s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
+	s.op.Tags.SizeBytes = size
+	s.typ, s.sent = req.Type, len(req.Value)
+	core.Tag(m.ops, c.taggingEst(), c.now())
+	m.dispatchByServer(func(int) wire.Request { return req })
+	m.wait()
+	err := s.err
+	if err == nil {
+		err = s.statusErr()
+	}
 	if err != nil {
+		putValueBuf(s.value)
 		return nil, err
 	}
-	req.ID = c.nextID.Add(1)
-	req.Tags = wireTags(op)
-	req.DeadlineNanos = deadlineBudget(ctx)
-	ch := cc.register(req.ID)
-	if err := cc.writeRequest(&req); err != nil {
-		cc.unregister(req.ID)
-		c.noteServerFailure(server)
-		return nil, fmt.Errorf("%w: send to server %d: %w", ErrUnavailable, server, err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("%w: connection to server %d lost", ErrUnavailable, server)
-		}
-		putRespChan(ch)
-		c.observeService(server, demand, resp.Timing, resp.Status, int64(len(req.Value)))
-		switch resp.Status {
-		case wire.StatusError:
-			return nil, fmt.Errorf("kv: server error for key %q", req.Key)
-		case wire.StatusDeadlineExceeded:
-			return nil, fmt.Errorf("kv: server %d shed %q past its deadline: %w",
-				server, req.Key, context.DeadlineExceeded)
-		}
-		return &resp, nil
-	case <-ctx.Done():
-		cc.unregister(req.ID)
-		return nil, ctx.Err()
-	}
+	return &wire.Response{Status: s.status, Value: s.value, Version: s.version, Timing: s.tm}, nil
 }
 
 // Stats fetches one server's statistics document. The stats request
@@ -1420,8 +1159,8 @@ func (c *Client) conn(id sched.ServerID) (*clientConn, error) {
 }
 
 // clientConn is one client-server connection: serialized writes, a
-// reader goroutine fanning responses out to waiters, and feedback
-// observation into the shared estimator.
+// reader goroutine completing the slots of calls awaiting responses,
+// and feedback observation into the shared estimator.
 type clientConn struct {
 	client *Client
 	server sched.ServerID
@@ -1431,7 +1170,7 @@ type clientConn struct {
 	w   *wire.Writer
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Response
+	pending map[uint64]slotRef
 	dead    bool
 }
 
@@ -1446,7 +1185,7 @@ func (c *Client) dial(id sched.ServerID, addr string) (*clientConn, error) {
 		server:  id,
 		conn:    conn,
 		w:       wire.NewWriter(conn),
-		pending: make(map[uint64]chan wire.Response),
+		pending: make(map[uint64]slotRef),
 	}
 	go cc.readLoop()
 	return cc, nil
@@ -1465,35 +1204,47 @@ func (cc *clientConn) writeBatch(reqs []wire.Request) error {
 	return cc.w.WriteBatch(reqs)
 }
 
-// respChanPool recycles single-response waiter channels. A channel may
-// be returned only after its waiter received a response (the readLoop
-// has unregistered it, so no further send can race a reuse); channels
-// abandoned on timeout or closed by shutdown are never pooled.
-var respChanPool = sync.Pool{New: func() any { return make(chan wire.Response, 1) }}
+// slotRef names the call slot awaiting one wire ID.
+type slotRef struct {
+	call *call
+	slot int
+}
 
-// putRespChan recycles a waiter channel that has delivered.
-func putRespChan(ch chan wire.Response) { respChanPool.Put(ch) }
-
-func (cc *clientConn) register(id uint64) chan wire.Response {
-	ch := respChanPool.Get().(chan wire.Response)
+// register records the slots idx of m as the waiters for their
+// requests' IDs in one critical section; it fails, registering none,
+// on a dead connection.
+func (cc *clientConn) register(m *call, idx []int, reqs []wire.Request) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.dead {
-		close(ch)
-		return ch
+		return false
 	}
-	cc.pending[id] = ch
-	return ch
+	for j, i := range idx {
+		cc.pending[reqs[j].ID] = slotRef{call: m, slot: i}
+	}
+	return true
 }
 
-func (cc *clientConn) unregister(id uint64) {
+// take removes id's waiter, reporting whether it was still pending —
+// the caller that gets true owns the slot's completion.
+func (cc *clientConn) take(id uint64) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	if _, ok := cc.pending[id]; !ok {
+		return false
+	}
 	delete(cc.pending, id)
+	return true
+}
+
+// lost is the transport error of an operation on key whose connection
+// died before it was answered.
+func (cc *clientConn) lost(key string) error {
+	return fmt.Errorf("%w: connection to server %d lost awaiting %q", ErrUnavailable, cc.server, key)
 }
 
 // valueFree recycles value byte buffers across the data plane: response
-// copies handed from the client readLoop to waiters, server-side store
+// copies the client readLoop puts into call slots, server-side store
 // reads, and queued-op payload copies. A buffered channel rather than a
 // sync.Pool because channel transfer of a slice never allocates its
 // header, so the recycle path itself costs zero allocations. Buffers
@@ -1553,28 +1304,16 @@ func (cc *clientConn) readLoop() {
 			})
 		}
 		// Look the waiter up before copying: a response nobody awaits
-		// (caller timed out and unregistered) costs no allocation, and
-		// empty values never do.
+		// (its call was cancelled, or the op was retried elsewhere) is
+		// dropped without copying.
 		cc.mu.Lock()
-		ch, ok := cc.pending[resp.ID]
+		ref, ok := cc.pending[resp.ID]
 		if ok {
 			delete(cc.pending, resp.ID)
 		}
 		cc.mu.Unlock()
-		if !ok {
-			continue
-		}
-		// The reader's value buffer is reused; hand the waiter a copy
-		// from the pool.
-		var value []byte
-		if len(resp.Value) > 0 {
-			value = getValueBuf(len(resp.Value))
-			copy(value, resp.Value)
-		}
-		ch <- wire.Response{
-			ID: resp.ID, Status: resp.Status, Value: value,
-			Feedback: resp.Feedback, Version: resp.Version,
-			Timing: resp.Timing,
+		if ok {
+			ref.call.deliver(ref.slot, &resp)
 		}
 	}
 }
@@ -1597,7 +1336,7 @@ func (cc *clientConn) shutdown(cause error) {
 	}
 	cc.dead = true
 	pending := cc.pending
-	cc.pending = make(map[uint64]chan wire.Response)
+	cc.pending = nil
 	cc.mu.Unlock()
 	cc.wmu.Lock()
 	cc.w.Release()
@@ -1605,7 +1344,7 @@ func (cc *clientConn) shutdown(cause error) {
 	if !errors.Is(cause, ErrClientClosed) {
 		cc.client.noteServerFailure(cc.server)
 	}
-	for _, ch := range pending {
-		close(ch)
+	for _, ref := range pending {
+		ref.call.fail(ref.slot, cc.lost(ref.call.slots[ref.slot].op.Key))
 	}
 }

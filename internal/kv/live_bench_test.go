@@ -146,3 +146,32 @@ func BenchmarkLiveMSet(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(writes.Load())/float64(b.N), "frames/op")
 }
+
+// mgetAllocCeiling pins one fan-out-16 multiget on a 4-server loopback
+// cluster, counted process-wide (client and servers together) with
+// tracing off: 56 measured on linux/amd64 with go1.24, plus headroom.
+const mgetAllocCeiling = 64
+
+// TestMGetAllocCeiling gates the multiget data path's allocations per
+// request: a return of per-group goroutines, per-op channels or
+// per-request scratch shows up here long before it shows in a p99.
+func TestMGetAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	client, _, _, _ := liveBenchCluster(t, 4, kv.ClientConfig{})
+	keys := benchKeys(t, client, 16)
+	ctx := context.Background()
+	mget := func() {
+		res, err := client.MGet(ctx, keys)
+		if err != nil || len(res) != len(keys) {
+			t.Fatalf("mget: %d/%d keys, err %v", len(res), len(keys), err)
+		}
+	}
+	mget() // warm pools and scratch
+	if got := testing.AllocsPerRun(200, mget); got > mgetAllocCeiling {
+		t.Errorf("fan-out-16 multiget allocates %.0f per request, ceiling %d", got, mgetAllocCeiling)
+	} else {
+		t.Logf("fan-out-16 multiget allocates %.0f per request (ceiling %d)", got, mgetAllocCeiling)
+	}
+}

@@ -58,6 +58,12 @@ func (p *Placement) For(key string) []sched.ServerID {
 	return p.ring.LookupN(key, p.factor)
 }
 
+// AppendFor appends key's replica holders, in the same order as For, to
+// dst — the allocation-free form a router with scratch space uses.
+func (p *Placement) AppendFor(dst []sched.ServerID, key string) []sched.ServerID {
+	return p.ring.AppendLookupN(dst, key, p.factor)
+}
+
 // Primary returns key's first-choice holder.
 func (p *Placement) Primary(key string) sched.ServerID {
 	return p.ring.Lookup(key)

@@ -96,29 +96,35 @@ func (r *Ring) Lookup(key string) sched.ServerID {
 // clockwise: the primary followed by replica holders. Virtual nodes of
 // a server already collected are skipped, so the successor set never
 // contains the same physical server twice — the invariant replica
-// placement depends on. Deduplication scans the small result slice
-// instead of allocating a set: n is the replication factor (single
-// digits), and this sits on the per-operation routing path.
+// placement depends on.
 func (r *Ring) LookupN(key string, n int) []sched.ServerID {
 	if n <= 0 {
 		return nil
 	}
+	return r.AppendLookupN(make([]sched.ServerID, 0, min(n, len(r.members))), key, n)
+}
+
+// AppendLookupN appends LookupN(key, n) to dst and returns the extended
+// slice — the allocation-free form for the per-operation routing path.
+// Deduplication scans the appended run instead of allocating a set: n
+// is the replication factor (single digits).
+func (r *Ring) AppendLookupN(dst []sched.ServerID, key string, n int) []sched.ServerID {
 	if n > len(r.members) {
 		n = len(r.members)
 	}
-	out := make([]sched.ServerID, 0, n)
+	base := len(dst)
 	start := r.search(hashString(key))
 walk:
-	for i := 0; len(out) < n && i < len(r.hashes); i++ {
+	for i := 0; len(dst)-base < n && i < len(r.hashes); i++ {
 		s := r.owners[(start+i)%len(r.hashes)]
-		for _, have := range out {
+		for _, have := range dst[base:] {
 			if have == s {
 				continue walk
 			}
 		}
-		out = append(out, s)
+		dst = append(dst, s)
 	}
-	return out
+	return dst
 }
 
 func (r *Ring) search(h uint64) int {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/daskv/daskv/internal/sched"
@@ -104,4 +105,23 @@ func TestLookupNDistinctExhaustive(t *testing.T) {
 		t.Fatalf("AddServer: %v", err)
 	}
 	check("after add", 6)
+}
+
+func TestAppendLookupNMatchesLookupN(t *testing.T) {
+	// The appended run must equal LookupN whatever dst already holds:
+	// deduplication looks only at the run being appended.
+	r, err := NewRing(servers(5), 64)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	prefix := []sched.ServerID{0, 1, 2, 3, 4}
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("append-%d", i)
+		for _, n := range []int{0, 1, 3, 9} {
+			want := append(slices.Clone(prefix), r.LookupN(k, n)...)
+			if got := r.AppendLookupN(slices.Clone(prefix), k, n); !slices.Equal(got, want) {
+				t.Fatalf("AppendLookupN(%s, %d) after %v = %v, want %v", k, n, prefix, got, want)
+			}
+		}
+	}
 }
