@@ -11,25 +11,33 @@ import (
 	"time"
 
 	"github.com/daskv/daskv/internal/core"
+	"github.com/daskv/daskv/internal/replica"
 	"github.com/daskv/daskv/internal/sched"
 	"github.com/daskv/daskv/internal/wire"
 )
 
 // call is one client request in flight — a multiget, a single-key
-// operation, or one server's share of a multiset — held as a fixed row
-// of slots, one per wire operation. The connection read loops fill the
-// slots directly and the caller is woken once, when the last slot
-// completes; there is no goroutine per server group and no channel per
-// operation.
+// operation, one server's share of a multiset, or one replicated
+// operation on a key's holders — held as a fixed row of slots, one per
+// wire operation. The connection read loops fill the slots directly and
+// the caller is woken once; there is no goroutine per server group or
+// per holder and no channel per operation.
+//
+// A plain call wakes its caller when the last slot completes. A
+// threshold call (need > 0) has one slot per holder of one key and
+// wakes its caller once need slots answered definitively, or as soon as
+// so many failed that need can no longer be met; the slots past that
+// point finish on the read loops.
 //
 // Each slot completes exactly once, by whoever removes its entry from
 // a connection's pending map first (clientConn.take): the read loop on
 // a response, shutdown on a torn connection, the dispatcher on a write
-// failure, cancel on context expiry. A slot that was never registered
-// (its server could not be reached) or that sits in the read-retry
-// ladder is owned by the goroutine handling it. Completion is the
-// owner's last touch of the call, so once the countdown reaches zero
-// nothing else refers to it and the caller may recycle it.
+// failure, cancel on context expiry or when a drain deadline passes. A
+// slot that was never registered (its server could not be reached) or
+// that sits in the read-retry ladder is owned by the goroutine handling
+// it. Completion is the owner's last touch of the slot. The call itself
+// is held by the caller, by every dispatched slot not yet completed and
+// by an armed drain timer; the last of them to let go releases it.
 type call struct {
 	c   *Client
 	ctx context.Context
@@ -37,25 +45,38 @@ type call struct {
 	// dispatch in the selector, and a transport failure sends it down
 	// the read-retry ladder instead of completing it.
 	routed bool
+	// need is a threshold call's wake threshold (0 for a plain call);
+	// req is the request every holder gets.
+	need int32
+	req  wire.Request
 
 	slots []slot
 	// Per-request scratch, reused across calls: ops points at each
 	// slot's op for core.Tag, order groups slot indices by server,
 	// reqs are the batch frames' requests in that order, route holds
 	// one key's replica candidates, traces the untraced request's
-	// timelines.
+	// timelines, reads the holders' answers to a replicated read.
 	ops    []*sched.Op
 	order  []int
 	reqs   []wire.Request
 	route  []sched.ServerID
 	traces []OpTrace
+	reads  []replica.ReadResult
 
-	left atomic.Int32  // slots not yet completed
-	done chan struct{} // capacity 1: the completion that empties left sends once
+	// left counts the completions until the wake (a threshold call
+	// counts definitive answers only); spare counts the failed or
+	// untried holders that make a threshold unreachable. Together they
+	// cover one more than the slots, so exactly one of them empties.
+	left  atomic.Int32
+	spare atomic.Int32
+	next  atomic.Int32  // a threshold read's first holder not yet tried
+	refs  atomic.Int32  // the caller, dispatched slots not yet completed, the drain timer
+	done  chan struct{} // capacity 1: the wake, sent once
+	drain atomic.Pointer[time.Timer]
 
-	// mu orders a retry's re-registration against cancel's scan of the
-	// slots' registrations, so a slot cannot slip into a pending map
-	// after the scan without seeing the context's expiry.
+	// mu orders a re-dispatch's registration against cancel's scan of
+	// the slots' registrations, so a slot cannot slip into a pending map
+	// after the scan without seeing the cancellation.
 	mu sync.Mutex
 }
 
@@ -77,8 +98,10 @@ type slot struct {
 	value   []byte // owned copy of the response value
 	version uint64
 	tm      wire.Timing
-	found   bool  // a read hit, set by resolve
-	err     error // transport failure, cancellation, or (reads) the mapped status
+	found   bool  // answered OK: a read hit, a delete that found the key
+	err     error // transport failure, cancellation, or the status's failure
+
+	fin atomic.Bool // completed: a threshold call's caller reads only these slots
 }
 
 // maxPooledCall bounds the slot count a recycled call keeps, so one huge
@@ -87,7 +110,7 @@ const maxPooledCall = 1024
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
-// newCall takes a pooled call sized for n operations under ctx.
+// newCall takes a pooled plain call sized for n operations under ctx.
 func (c *Client) newCall(ctx context.Context, n int, routed bool) *call {
 	m := callPool.Get().(*call)
 	m.c, m.ctx, m.routed = c, ctx, routed
@@ -100,32 +123,136 @@ func (c *Client) newCall(ctx context.Context, n int, routed bool) *call {
 		m.slots[i].attempts = 1
 		m.ops[i] = &m.slots[i].op
 	}
+	m.need = 0
 	m.left.Store(int32(n))
+	m.refs.Store(int32(n) + 1)
 	return m
 }
 
-// release returns a completed call to the pool, dropping every
-// reference it holds (values now belong to the caller).
+// holderCall sends req to its key's replica holders as one call, a
+// slot per holder, and waits. need > 0 makes it a threshold call: the
+// caller wakes at need definitive answers (a write's acks, a read's
+// found or not-found) or once need is out of reach. A threshold read
+// asks only the need best-ranked holders, and an untried one only in
+// place of a holder lost to a transport failure; anything else asks
+// every holder. The caller reads the finished slots, then calls finish.
+func (c *Client) holderCall(ctx context.Context, req wire.Request, need int) *call {
+	now := c.now()
+	n := c.place.Factor()
+	m := c.newCall(ctx, n, false)
+	m.route = c.place.AppendFor(m.route[:0], req.Key)
+	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
+	sent := n
+	if need > 0 && req.Type == wire.OpGet {
+		slices.SortStableFunc(m.route, func(a, b sched.ServerID) int {
+			return cmp.Compare(c.sel.ScoreOf(a, demand, now).Finish, c.sel.ScoreOf(b, demand, now).Finish)
+		})
+		sent = need
+	}
+	for i, server := range m.route {
+		s := &m.slots[i]
+		s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
+		s.op.Tags.SizeBytes = size
+		s.typ, s.sent = req.Type, len(req.Value)
+		// Tagged one by one (fanout 1), as every single-key op is.
+		core.Tag(m.ops[i:i+1], c.taggingEst(), now)
+	}
+	m.req = req
+	m.refs.Store(int32(sent) + 1)
+	m.next.Store(int32(sent))
+	if need > 0 {
+		m.need = int32(need)
+		m.left.Store(int32(need))
+		m.spare.Store(int32(n - need + 1))
+	}
+	m.dispatchByServer(sent, func(int) wire.Request { return req })
+	m.wait()
+	return m
+}
+
+// finish is the caller's last touch of the call. Slots still in flight
+// — a threshold call's stragglers — complete on the read loops; a drain
+// timer fails any that never answer, Client.Close waits for them, and
+// the last to complete releases the call.
+func (m *call) finish() {
+	if m.need > 0 && m.refs.Load() > 1 {
+		c := m.c
+		c.repairMu.Lock()
+		if !c.repairClosed {
+			c.repairWG.Add(1)
+			m.refs.Add(1)
+			m.drain.Store(time.AfterFunc(c.backgroundTimeout(), m.expire))
+		}
+		c.repairMu.Unlock()
+	}
+	m.unref()
+}
+
+// expire is the drain timer: it fails the stragglers still registered
+// and drops the timer's reference.
+func (m *call) expire() {
+	m.cancel(fmt.Errorf("kv: no answer before the drain deadline: %w", context.DeadlineExceeded))
+	m.unref()
+}
+
+// unref drops one reference; the last releases the call. When only one
+// is left it may be the drain timer's, which stopping drops.
+func (m *call) unref() {
+	switch m.refs.Add(-1) {
+	case 0:
+		m.release()
+	case 1:
+		if t := m.drain.Load(); t != nil && t.Stop() {
+			m.unref()
+		}
+	}
+}
+
+// release returns a finished call to the pool, dropping every
+// reference it holds; values the caller did not take go back to the
+// value freelist.
 func (m *call) release() {
+	if m.drain.Swap(nil) != nil {
+		m.c.repairWG.Done()
+	}
+	for i := range m.slots {
+		putValueBuf(m.slots[i].value)
+	}
 	clear(m.slots)
 	clear(m.reqs[:cap(m.reqs)])
 	clear(m.traces[:cap(m.traces)])
-	m.reqs, m.traces, m.order = m.reqs[:0], m.traces[:0], m.order[:0]
+	clear(m.reads[:cap(m.reads)])
+	m.reqs, m.traces, m.order, m.reads = m.reqs[:0], m.traces[:0], m.order[:0], m.reads[:0]
+	m.req = wire.Request{}
 	m.c, m.ctx = nil, nil
 	if cap(m.slots) <= maxPooledCall {
 		callPool.Put(m)
 	}
 }
 
-// complete counts one slot done and wakes the caller on the last. It is
-// the completing goroutine's final touch of the call.
-func (m *call) complete() {
-	if m.left.Add(-1) == 0 {
+// complete finishes slot i, whose response or error is set, folding a
+// failing status into err, and drops its reference. A threshold call
+// counts a definitive answer against left, and a failure plus the
+// untried holders it gives up against spare; either emptying wakes the
+// caller.
+func (m *call) complete(i int, untried int32) {
+	s := &m.slots[i]
+	if s.err == nil {
+		s.err = s.statusErr()
+	}
+	s.found = s.err == nil && s.status == wire.StatusOK
+	s.fin.Store(true)
+	count, k := &m.left, int32(1)
+	if m.need > 0 && s.err != nil {
+		count, k = &m.spare, 1+untried
+	}
+	if v := count.Add(-k); v <= 0 && v+k > 0 {
 		m.done <- struct{}{}
 	}
+	m.unref()
 }
 
-// wait blocks until every slot completed. When the context ends first,
+// wait blocks until the caller's wake. When the context ends first,
 // the slots still registered are taken back and failed with its error;
 // slots the read loop or a retry already owns finish promptly.
 func (m *call) wait() {
@@ -134,14 +261,12 @@ func (m *call) wait() {
 		return
 	case <-m.ctx.Done():
 	}
-	m.cancel()
+	m.cancel(m.ctx.Err())
 	<-m.done
 }
 
-// cancel fails every slot it can take back from a pending map with the
-// context's error.
-func (m *call) cancel() {
-	err := m.ctx.Err()
+// cancel fails every slot it can take back from a pending map with err.
+func (m *call) cancel(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range m.slots {
@@ -171,12 +296,12 @@ func (m *call) deliver(i int, resp *wire.Response) {
 		c.retireRead(s.op.Server)
 	}
 	s.end = c.now()
-	m.complete()
+	m.complete(i, 0)
 }
 
 // fail resolves slot i's current dispatch with a transport error or the
 // context's. A routed read with retries left continues on the retry
-// ladder instead of completing.
+// ladder instead of completing; a threshold read fails over.
 func (m *call) fail(i int, err error) {
 	c, s := m.c, &m.slots[i]
 	if m.routed {
@@ -189,7 +314,32 @@ func (m *call) fail(i int, err error) {
 	}
 	s.err = err
 	s.end = c.now()
-	m.complete()
+	var untried int32
+	if m.need > 0 {
+		untried = m.failover(err)
+	}
+	m.complete(i, untried)
+}
+
+// failover replaces a holder lost to a transport failure, while the
+// caller still waits, with the best-ranked holder not yet tried. Any
+// other failure gives up on the untried holders; it returns how many
+// that was. A write tries every holder at once, so it has none.
+func (m *call) failover(err error) int32 {
+	n := int32(len(m.slots))
+	if m.left.Load() > 0 && m.spare.Load() > 0 &&
+		errors.Is(err, ErrUnavailable) && !errors.Is(err, ErrClientClosed) {
+		if j := m.next.Add(1) - 1; j < n {
+			m.refs.Add(1)
+			m.slots[j].start = m.c.now()
+			m.dispatchOne(int(j), m.req)
+			return 0
+		}
+	}
+	if tried := m.next.Swap(n); tried < n {
+		return n - tried
+	}
+	return 0
 }
 
 // retry re-dispatches slot i after jittered backoff, re-routed around
@@ -200,7 +350,7 @@ func (m *call) retry(i int, lastErr error) {
 	if c.retrySleep(m.ctx, s.attempts-1) != nil {
 		s.err = lastErr
 		s.end = c.now()
-		m.complete()
+		m.complete(i, 0)
 		return
 	}
 	c.cm.noteRetry()
@@ -209,16 +359,20 @@ func (m *call) retry(i int, lastErr error) {
 	s.op.Server = c.routeRead(c.place.AppendFor(cands[:0], s.op.Key), s.op.Demand, now)
 	core.Tag(m.ops[i:i+1], c.taggingEst(), now)
 	s.attempts++
-	idx, reqs := [1]int{i}, [1]wire.Request{{Type: wire.OpGet, Key: s.op.Key}}
-	m.dispatch(s.op.Server, idx[:], reqs[:])
+	m.dispatchOne(i, wire.Request{Type: wire.OpGet, Key: s.op.Key})
 }
 
-// dispatchByServer sends every slot as one batch frame per destination
-// server (split only past the frame limits), req building slot i's
-// request. Slots keep their relative order within a server's frame.
-// Only the caller of wait may use it, before waiting.
-func (m *call) dispatchByServer(req func(i int) wire.Request) {
-	n := len(m.slots)
+// dispatchOne sends slot i alone, as a re-dispatch does.
+func (m *call) dispatchOne(i int, req wire.Request) {
+	idx, reqs := [1]int{i}, [1]wire.Request{req}
+	m.dispatch(m.slots[i].op.Server, idx[:], reqs[:])
+}
+
+// dispatchByServer sends the first n slots as one batch frame per
+// destination server (split only past the frame limits), req building
+// slot i's request. Slots keep their relative order within a server's
+// frame. Only the caller of wait may use it, before waiting.
+func (m *call) dispatchByServer(n int, req func(i int) wire.Request) {
 	m.order = m.order[:0]
 	for i := range n {
 		m.order = append(m.order, i)
@@ -298,16 +452,36 @@ func (m *call) dispatch(server sched.ServerID, idx []int, reqs []wire.Request) {
 	}
 }
 
-// resolve maps a completed read's outcome to found or failed,
-// recycling the value buffer of anything but a hit.
-func (s *slot) resolve() {
-	if s.err == nil {
-		s.err = s.statusErr()
+// readResult is a completed read slot as the replica planner sees it.
+func (s *slot) readResult() replica.ReadResult {
+	return replica.ReadResult{
+		Server: s.op.Server, Value: s.value, Version: replica.Version(s.version),
+		Found: s.found, Err: s.err,
 	}
-	if s.found = s.err == nil && s.status == wire.StatusOK; !s.found {
-		putValueBuf(s.value)
-		s.value = nil
+}
+
+// answers gathers a woken threshold call's finished slots: each
+// definitive answer into reads, and the first failure.
+func (m *call) answers() (firstErr error) {
+	for i := range m.slots {
+		switch s := &m.slots[i]; {
+		case !s.fin.Load():
+		case s.err != nil:
+			if firstErr == nil {
+				firstErr = s.err
+			}
+		default:
+			m.reads = append(m.reads, s.readResult())
+		}
 	}
+	return firstErr
+}
+
+// take hands the slot's value to the caller, who then owns it.
+func (s *slot) take() []byte {
+	v := s.value
+	s.value = nil
+	return v
 }
 
 // statusErr maps a response status to the operation's failure: a

@@ -480,7 +480,8 @@ func (c *Client) retrySleep(ctx context.Context, attempt int) error {
 }
 
 // Close tears down all connections; in-flight calls fail. Background
-// read-repair goroutines are drained before Close returns.
+// work — read-repairs and the stragglers of replicated operations — is
+// drained before Close returns.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -514,7 +515,7 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // failover and tracing included) without the result map.
 func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
 	m := c.readKeys(ctx, []string{key})
-	defer m.release()
+	defer m.finish()
 	s := &m.slots[0]
 	switch {
 	case s.err != nil:
@@ -522,10 +523,11 @@ func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
 	case !s.found:
 		return nil, ErrNotFound
 	}
-	return s.value, nil
+	return s.take(), nil
 }
 
-// Put stores one key on every replica (synchronous write fan-out).
+// Put stores one key on every replica at the client's default
+// consistency level.
 func (c *Client) Put(ctx context.Context, key string, value []byte) error {
 	return c.PutTTL(ctx, key, value, 0)
 }
@@ -625,23 +627,16 @@ func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
 	// version so partial fan-outs reconcile under read-repair.
 	groups := make(map[sched.ServerID][]writeOp, len(c.cfg.Servers))
 	for k, v := range pairs {
-		var version uint64
-		if c.cfg.Replicas > 1 {
-			version = uint64(c.vclock.Next())
-		}
+		version := c.versionFor(wire.OpPut)
 		for _, server := range c.place.For(k) {
-			groups[server] = append(groups[server], writeOp{key: k, value: v, version: version})
+			groups[server] = append(groups[server], writeOp{server: server, key: k, value: v, version: version})
 		}
 	}
 	// Split each server's run into frame-sized chunks and drain them
 	// through a bounded worker pool.
-	type chunk struct {
-		server sched.ServerID
-		ops    []writeOp
-	}
-	var chunks []chunk
+	var chunks [][]writeOp
 	limit := c.cfg.batchLimit()
-	for server, list := range groups {
+	for _, list := range groups {
 		for start := 0; start < len(list); {
 			end, bytes := start, 0
 			for end < len(list) && end-start < limit {
@@ -652,7 +647,7 @@ func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
 				bytes += sz
 				end++
 			}
-			chunks = append(chunks, chunk{server: server, ops: list[start:end]})
+			chunks = append(chunks, list[start:end])
 			start = end
 		}
 	}
@@ -660,12 +655,13 @@ func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
 	if workers > len(chunks) {
 		workers = len(chunks)
 	}
-	work := make(chan chunk)
+	work := make(chan []writeOp)
 	errs := make(chan error, len(chunks))
 	for w := 0; w < workers; w++ {
 		go func() {
-			for ch := range work {
-				errs <- c.putBatch(ctx, ch.server, ch.ops)
+			for ops := range work {
+				_, err := c.putBatch(ctx, ops)
+				errs <- err
 			}
 		}()
 	}
@@ -682,49 +678,48 @@ func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
 	return firstErr
 }
 
-// writeOp is one pending put of a multiset: a key, its value, and the
-// last-writer-wins version it was stamped with.
+// writeOp is one put of a multiset or a repair plan: its holder, key,
+// value, and the last-writer-wins version it was stamped with.
 type writeOp struct {
+	server  sched.ServerID
 	key     string
 	value   []byte
 	version uint64
 }
 
-// putBatch sends one server's chunk of multiset writes as a single
-// batch frame and waits out every acknowledgement. It returns the
-// first per-op failure (transport, server error, or deadline shed).
-func (c *Client) putBatch(ctx context.Context, server sched.ServerID, ops []writeOp) error {
+// putBatch sends ops as one call, a batch frame per server, and waits
+// out every acknowledgement. It reports how many were acknowledged OK
+// and the first failure (transport, server error, or deadline shed).
+func (c *Client) putBatch(ctx context.Context, ops []writeOp) (int, error) {
 	now := c.now()
 	m := c.newCall(ctx, len(ops), false)
-	defer m.release()
+	defer m.finish()
 	for i, wo := range ops {
 		s := &m.slots[i]
 		demand, size := c.demandFor(wire.OpPut, wo.key, len(wo.value))
-		s.op = sched.Op{Server: server, Key: wo.key, Demand: demand}
+		s.op = sched.Op{Server: wo.server, Key: wo.key, Demand: demand}
 		s.op.Tags.SizeBytes = size
 		s.typ, s.sent = wire.OpPut, len(wo.value)
 		// Writes are tagged individually (fanout 1), matching the
 		// single-key path.
 		core.Tag(m.ops[i:i+1], c.taggingEst(), now)
 	}
-	m.dispatchByServer(func(i int) wire.Request {
+	m.dispatchByServer(len(ops), func(i int) wire.Request {
 		wo := ops[i]
 		return wire.Request{Type: wire.OpPut, Key: wo.key, Value: wo.value, Version: wo.version}
 	})
 	m.wait()
+	acked := 0
 	var firstErr error
 	for i := range m.slots {
-		s := &m.slots[i]
-		err := s.err
-		if err == nil {
-			err = s.statusErr()
-		}
-		putValueBuf(s.value)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		switch s := &m.slots[i]; {
+		case s.err != nil && firstErr == nil:
+			firstErr = s.err
+		case s.found:
+			acked++
 		}
 	}
-	return firstErr
+	return acked, firstErr
 }
 
 // Delete removes one key from every replica at the client's default
@@ -732,55 +727,6 @@ func (c *Client) putBatch(ctx context.Context, server sched.ServerID, ops []writ
 // returns ErrNotFound.
 func (c *Client) Delete(ctx context.Context, key string) error {
 	return c.DeleteLevel(ctx, key, wire.ConsistencyDefault)
-}
-
-// fanoutWrite sends a write to every replica holder and waits for all.
-// Replicated puts are stamped with one last-writer-wins version from
-// the client's clock, so partial fan-outs reconcile deterministically
-// under read-repair. It reports whether any replica answered StatusOK.
-func (c *Client) fanoutWrite(ctx context.Context, req wire.Request) (bool, error) {
-	ctx, cancel := c.opCtx(ctx)
-	defer cancel()
-	if req.Type == wire.OpPut && c.cfg.Replicas > 1 {
-		req.Version = uint64(c.vclock.Next())
-	}
-	replicas := c.place.For(req.Key)
-	if len(replicas) == 1 {
-		resp, err := c.send(ctx, replicas[0], req)
-		if err != nil {
-			return false, err
-		}
-		return resp.Status == wire.StatusOK, nil
-	}
-	type outcome struct {
-		ok  bool
-		err error
-	}
-	results := make(chan outcome, len(replicas))
-	for _, server := range replicas {
-		server := server
-		go func() {
-			resp, err := c.send(ctx, server, req)
-			if err != nil {
-				results <- outcome{err: err}
-				return
-			}
-			results <- outcome{ok: resp.Status == wire.StatusOK}
-		}()
-	}
-	anyOK := false
-	var firstErr error
-	for range replicas {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		anyOK = anyOK || r.ok
-	}
-	if firstErr != nil {
-		return anyOK, firstErr
-	}
-	return anyOK, nil
 }
 
 // routeRead picks the serving replica for a read among cands (the
@@ -815,7 +761,7 @@ func (c *Client) MGet(ctx context.Context, keys []string) (map[string][]byte, er
 		return map[string][]byte{}, nil
 	}
 	m := c.readKeys(ctx, keys)
-	defer m.release()
+	defer m.finish()
 	out := make(map[string][]byte, len(keys))
 	var failed map[string]error
 	for i := range m.slots {
@@ -826,7 +772,7 @@ func (c *Client) MGet(ctx context.Context, keys []string) (map[string][]byte, er
 			}
 			failed[keys[i]] = s.err
 		case s.found:
-			out[keys[i]] = s.value
+			out[keys[i]] = s.take()
 		}
 	}
 	if failed != nil {
@@ -836,12 +782,12 @@ func (c *Client) MGet(ctx context.Context, keys []string) (map[string][]byte, er
 }
 
 // readKeys resolves one read per key on a pooled call and records the
-// request; the caller reads the resolved slots, in key order, and
-// releases the call. Ops are routed and tagged as one request, then
-// each destination server's share goes out inline as one batch frame.
-// Responses stay per-op, so the server's scheduler reorders freely
-// within and across batches; the read loops complete the slots and
-// wake this goroutine once, when the last one is done.
+// request; the caller reads the completed slots, in key order, and
+// lets go of the call with finish. Ops are routed and tagged as one
+// request, then each destination server's share goes out inline as one
+// batch frame. Responses stay per-op, so the server's scheduler
+// reorders freely within and across batches; the read loops complete
+// the slots and wake this goroutine once, when the last one is done.
 func (c *Client) readKeys(ctx context.Context, keys []string) *call {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
@@ -861,14 +807,13 @@ func (c *Client) readKeys(ctx context.Context, keys []string) *call {
 		s.score = c.sel.ScoreOf(s.op.Server, demand, now).Finish - now
 	}
 	core.Tag(m.ops, c.taggingEst(), now)
-	m.dispatchByServer(func(i int) wire.Request {
+	m.dispatchByServer(len(keys), func(i int) wire.Request {
 		return wire.Request{Type: wire.OpGet, Key: keys[i]}
 	})
 	m.wait()
 	partial := false
 	for i := range m.slots {
 		s := &m.slots[i]
-		s.resolve()
 		if s.err != nil {
 			partial = true
 		} else if s.attempts > 1 {
@@ -930,73 +875,50 @@ func (c *Client) writeChunked(cc *clientConn, reqs []wire.Request) error {
 	return nil
 }
 
-// getFrom performs one direct versioned read against a specific replica
-// holder, bypassing selection (used by read-repair to audit every
-// holder).
-func (c *Client) getFrom(ctx context.Context, server sched.ServerID, key string, level wire.Consistency) replica.ReadResult {
-	resp, err := c.send(ctx, server, wire.Request{Type: wire.OpGet, Key: key, Consistency: level})
-	switch {
-	case err != nil:
-		return replica.ReadResult{Server: server, Err: err}
-	case resp.Status != wire.StatusOK: // not found
-		putValueBuf(resp.Value)
-		return replica.ReadResult{Server: server}
+// backgroundTimeout bounds work that outlives its caller — a
+// read-repair, the stragglers of a replicated operation — by the
+// configured RequestTimeout, or by 5s without one.
+func (c *Client) backgroundTimeout() time.Duration {
+	if c.cfg.RequestTimeout > 0 {
+		return c.cfg.RequestTimeout
 	}
-	return replica.ReadResult{
-		Server: server, Value: resp.Value, Version: replica.Version(resp.Version), Found: true,
-	}
+	return 5 * time.Second
 }
 
-// readRepairTimeout bounds a background repair when the client has no
-// configured RequestTimeout.
-const readRepairTimeout = 5 * time.Second
-
 // Repair synchronously reconciles key's replica set: it reads every
-// holder, finds the newest version, and replays that write onto
-// reachable holders that missed it (last-writer-wins, so replaying is
-// idempotent). It returns how many replicas were brought up to date; a
-// non-nil error reports the first holder that could not be read or
-// repaired, alongside whatever repairs did land. With Replicas <= 1
-// there is nothing to reconcile.
+// holder in one call, finds the newest version, and replays that write
+// onto reachable holders that missed it, in a second call
+// (last-writer-wins, so replaying is idempotent). It returns how many
+// replicas were brought up to date; a non-nil error reports the first
+// holder that could not be read or repaired, alongside whatever repairs
+// did land. With Replicas <= 1 there is nothing to reconcile.
 func (c *Client) Repair(ctx context.Context, key string) (int, error) {
 	if c.cfg.Replicas <= 1 {
 		return 0, nil
 	}
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	holders := c.place.For(key)
-	reads := make([]replica.ReadResult, len(holders))
-	var wg sync.WaitGroup
-	for i, server := range holders {
-		i, server := i, server
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reads[i] = c.getFrom(ctx, server, key, wire.ConsistencyDefault)
-		}()
-	}
-	wg.Wait()
+	m := c.holderCall(ctx, wire.Request{Type: wire.OpGet, Key: key}, 0)
+	defer m.finish()
 	var firstErr error
-	for _, r := range reads {
-		if r.Err != nil {
-			firstErr = fmt.Errorf("kv: repair %q: read server %d: %w", key, r.Server, r.Err)
-			break
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("kv: repair %q: read server %d: %w", key, s.op.Server, s.err)
 		}
+		m.reads = append(m.reads, s.readResult())
 	}
-	fixed := 0
-	for _, rep := range replica.Repairs(reads) {
-		resp, err := c.send(ctx, rep.Server, wire.Request{
-			Type: wire.OpPut, Key: key, Value: rep.Value, Version: uint64(rep.Version),
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kv: repair %q: write server %d: %w", key, rep.Server, err)
-			}
-			continue
-		}
-		if resp.Status == wire.StatusOK {
-			fixed++
-		}
+	plan := replica.Repairs(m.reads)
+	if len(plan) == 0 {
+		return 0, firstErr
+	}
+	ops := make([]writeOp, len(plan))
+	for i, rep := range plan {
+		ops[i] = writeOp{server: rep.Server, key: key, value: rep.Value, version: uint64(rep.Version)}
+	}
+	fixed, err := c.putBatch(ctx, ops)
+	if err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("kv: repair %q: %w", key, err)
 	}
 	return fixed, firstErr
 }
@@ -1018,11 +940,7 @@ func (c *Client) maybeRepair(key string) {
 	c.repairMu.Unlock()
 	go func() {
 		defer c.repairWG.Done()
-		timeout := c.cfg.RequestTimeout
-		if timeout <= 0 {
-			timeout = readRepairTimeout
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), c.backgroundTimeout())
 		_, _ = c.Repair(ctx, key)
 		cancel()
 		c.repairMu.Lock()
@@ -1053,24 +971,19 @@ func (c *Client) ReplicaScores(key string) []replica.Score {
 // interpret.
 func (c *Client) send(ctx context.Context, server sched.ServerID, req wire.Request) (*wire.Response, error) {
 	m := c.newCall(ctx, 1, false)
-	defer m.release()
+	defer m.finish()
 	s := &m.slots[0]
 	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
 	s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
 	s.op.Tags.SizeBytes = size
 	s.typ, s.sent = req.Type, len(req.Value)
 	core.Tag(m.ops, c.taggingEst(), c.now())
-	m.dispatchByServer(func(int) wire.Request { return req })
+	m.dispatchByServer(1, func(int) wire.Request { return req })
 	m.wait()
-	err := s.err
-	if err == nil {
-		err = s.statusErr()
+	if s.err != nil {
+		return nil, s.err
 	}
-	if err != nil {
-		putValueBuf(s.value)
-		return nil, err
-	}
-	return &wire.Response{Status: s.status, Value: s.value, Version: s.version, Timing: s.tm}, nil
+	return &wire.Response{Status: s.status, Value: s.take(), Version: s.version, Timing: s.tm}, nil
 }
 
 // Stats fetches one server's statistics document. The stats request

@@ -17,6 +17,7 @@ import (
 
 	"github.com/daskv/daskv/internal/kv"
 	"github.com/daskv/daskv/internal/sched"
+	"github.com/daskv/daskv/internal/wire"
 )
 
 // countingConn wraps a client-side connection and counts Write calls
@@ -173,5 +174,89 @@ func TestMGetAllocCeiling(t *testing.T) {
 		t.Errorf("fan-out-16 multiget allocates %.0f per request, ceiling %d", got, mgetAllocCeiling)
 	} else {
 		t.Logf("fan-out-16 multiget allocates %.0f per request (ceiling %d)", got, mgetAllocCeiling)
+	}
+}
+
+// BenchmarkLiveQuorumPut measures one QUORUM put on a 3-server loopback
+// cluster at R = 3: the caller wakes at 2 acks, the third drains.
+func BenchmarkLiveQuorumPut(b *testing.B) {
+	client, _, writes, _ := liveBenchCluster(b, 3, kv.ClientConfig{Replicas: 3})
+	ctx := context.Background()
+	value := []byte("bench-value-0123456789")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.PutLevel(ctx, "bench-quorum", value, wire.ConsistencyQuorum); err != nil {
+			b.Fatalf("put: %v", err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes.Load())/float64(b.N), "frames/op")
+}
+
+// BenchmarkLiveQuorumGet measures one QUORUM get on a 3-server loopback
+// cluster at R = 3: two best-ranked holders, newest version wins.
+func BenchmarkLiveQuorumGet(b *testing.B) {
+	client, _, writes, _ := liveBenchCluster(b, 3, kv.ClientConfig{Replicas: 3})
+	ctx := context.Background()
+	if err := client.Put(ctx, "bench-quorum", []byte("bench-value-0123456789")); err != nil {
+		b.Fatalf("preload: %v", err)
+	}
+	writes.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.GetLevel(ctx, "bench-quorum", wire.ConsistencyQuorum); err != nil {
+			b.Fatalf("get: %v", err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes.Load())/float64(b.N), "frames/op")
+}
+
+// TestQuorumAllocCeiling gates the replicated data paths' allocations
+// per operation on a 3-server loopback cluster at R = 3, counted
+// process-wide with tracing off. The R = 1 put shares the write path,
+// so it is gated here too. Measured on linux/amd64 with go1.24: 14, 7,
+// 10, 12 and 4 in table order; the ceilings add headroom.
+func TestQuorumAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	ctx := context.Background()
+	value := []byte("bench-value-0123456789")
+	replicated, _, _, _ := liveBenchCluster(t, 3, kv.ClientConfig{Replicas: 3})
+	single, _, _, _ := liveBenchCluster(t, 3, kv.ClientConfig{})
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(level wire.Consistency) func() {
+		return func() {
+			_, err := replicated.GetLevel(ctx, "alloc-key", level)
+			must(err)
+		}
+	}
+	put := func(c *kv.Client, level wire.Consistency) func() {
+		return func() { must(c.PutLevel(ctx, "alloc-key", value, level)) }
+	}
+	for _, tc := range []struct {
+		name    string
+		op      func()
+		ceiling float64
+	}{
+		{"quorum put", put(replicated, wire.ConsistencyQuorum), 18},
+		{"quorum get", get(wire.ConsistencyQuorum), 10},
+		{"all get", get(wire.ConsistencyAll), 13},
+		{"default put", put(replicated, wire.ConsistencyDefault), 15},
+		{"R=1 put", put(single, wire.ConsistencyDefault), 6},
+	} {
+		tc.op() // warm pools and scratch
+		if got := testing.AllocsPerRun(200, tc.op); got > tc.ceiling {
+			t.Errorf("%s allocates %.1f per operation, ceiling %.0f", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s allocates %.1f per operation (ceiling %.0f)", tc.name, got, tc.ceiling)
+		}
 	}
 }
