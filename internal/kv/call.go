@@ -49,17 +49,23 @@ type call struct {
 	// req is the request every holder gets.
 	need int32
 	req  wire.Request
+	// detached marks a threshold write whose stragglers outlive the
+	// caller: its requests carry the drain bound as their deadline, and
+	// the caller's context wakes the caller without taking slots back.
+	detached bool
 
 	slots []slot
 	// Per-request scratch, reused across calls: ops points at each
 	// slot's op for core.Tag, order groups slot indices by server,
 	// reqs are the batch frames' requests in that order, route holds
-	// one key's replica candidates, traces the untraced request's
-	// timelines, reads the holders' answers to a replicated read.
+	// one key's replica candidates and scores their ranking, traces the
+	// untraced request's timelines, reads the holders' answers to a
+	// replicated read.
 	ops    []*sched.Op
 	order  []int
 	reqs   []wire.Request
 	route  []sched.ServerID
+	scores []replica.Score
 	traces []OpTrace
 	reads  []replica.ReadResult
 
@@ -123,7 +129,7 @@ func (c *Client) newCall(ctx context.Context, n int, routed bool) *call {
 		m.slots[i].attempts = 1
 		m.ops[i] = &m.slots[i].op
 	}
-	m.need = 0
+	m.need, m.detached = 0, false
 	m.left.Store(int32(n))
 	m.refs.Store(int32(n) + 1)
 	return m
@@ -135,27 +141,25 @@ func (c *Client) newCall(ctx context.Context, n int, routed bool) *call {
 // found or not-found) or once need is out of reach. A threshold read
 // asks only the need best-ranked holders, and an untried one only in
 // place of a holder lost to a transport failure; anything else asks
-// every holder. The caller reads the finished slots, then calls finish.
+// every holder; a write that waits for fewer is detached. The caller
+// reads the finished slots, then calls finish.
 func (c *Client) holderCall(ctx context.Context, req wire.Request, need int) *call {
 	now := c.now()
 	n := c.place.Factor()
 	m := c.newCall(ctx, n, false)
 	m.route = c.place.AppendFor(m.route[:0], req.Key)
-	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
 	sent := n
 	if need > 0 && req.Type == wire.OpGet {
-		slices.SortStableFunc(m.route, func(a, b sched.ServerID) int {
-			return cmp.Compare(c.sel.ScoreOf(a, demand, now).Finish, c.sel.ScoreOf(b, demand, now).Finish)
-		})
+		demand, _ := c.demandFor(req.Type, req.Key, 0)
+		m.scores = c.sel.AppendScores(m.scores[:0], m.route, demand, now)
+		for i, sc := range m.scores {
+			m.route[i] = sc.Server
+		}
 		sent = need
 	}
+	m.detached = need > 0 && need < n && req.Type != wire.OpGet
 	for i, server := range m.route {
-		s := &m.slots[i]
-		s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
-		s.op.Tags.SizeBytes = size
-		s.typ, s.sent = req.Type, len(req.Value)
-		// Tagged one by one (fanout 1), as every single-key op is.
-		core.Tag(m.ops[i:i+1], c.taggingEst(), now)
+		m.prepare(i, server, &req, now)
 	}
 	m.req = req
 	m.refs.Store(int32(sent) + 1)
@@ -168,6 +172,17 @@ func (c *Client) holderCall(ctx context.Context, req wire.Request, need int) *ca
 	m.dispatchByServer(sent, func(int) wire.Request { return req })
 	m.wait()
 	return m
+}
+
+// prepare fills slot i with req's operation on server and tags it
+// alone (fanout 1), as every single-key op and every write is tagged.
+func (m *call) prepare(i int, server sched.ServerID, req *wire.Request, now time.Duration) {
+	s := &m.slots[i]
+	demand, size := m.c.demandFor(req.Type, req.Key, len(req.Value))
+	s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
+	s.op.Tags.SizeBytes = size
+	s.typ, s.sent = req.Type, len(req.Value)
+	core.Tag(m.ops[i:i+1], m.c.taggingEst(), now)
 }
 
 // finish is the caller's last touch of the call. Slots still in flight
@@ -210,10 +225,15 @@ func (m *call) unref() {
 
 // release returns a finished call to the pool, dropping every
 // reference it holds; values the caller did not take go back to the
-// value freelist.
+// value freelist. A detached call's caller may have left before the
+// wake, which is then emptied here.
 func (m *call) release() {
 	if m.drain.Swap(nil) != nil {
 		m.c.repairWG.Done()
+	}
+	select {
+	case <-m.done:
+	default:
 	}
 	for i := range m.slots {
 		putValueBuf(m.slots[i].value)
@@ -223,6 +243,7 @@ func (m *call) release() {
 	clear(m.traces[:cap(m.traces)])
 	clear(m.reads[:cap(m.reads)])
 	m.reqs, m.traces, m.order, m.reads = m.reqs[:0], m.traces[:0], m.order[:0], m.reads[:0]
+	m.scores = m.scores[:0]
 	m.req = wire.Request{}
 	m.c, m.ctx = nil, nil
 	if cap(m.slots) <= maxPooledCall {
@@ -233,9 +254,9 @@ func (m *call) release() {
 // complete finishes slot i, whose response or error is set, folding a
 // failing status into err, and drops its reference. A threshold call
 // counts a definitive answer against left, and a failure plus the
-// untried holders it gives up against spare; either emptying wakes the
-// caller.
-func (m *call) complete(i int, untried int32) {
+// untried holders it gives up (see failover) against spare; either
+// emptying wakes the caller.
+func (m *call) complete(i int) {
 	s := &m.slots[i]
 	if s.err == nil {
 		s.err = s.statusErr()
@@ -244,7 +265,7 @@ func (m *call) complete(i int, untried int32) {
 	s.fin.Store(true)
 	count, k := &m.left, int32(1)
 	if m.need > 0 && s.err != nil {
-		count, k = &m.spare, 1+untried
+		count, k = &m.spare, 1+m.failover(s.err)
 	}
 	if v := count.Add(-k); v <= 0 && v+k > 0 {
 		m.done <- struct{}{}
@@ -254,12 +275,16 @@ func (m *call) complete(i int, untried int32) {
 
 // wait blocks until the caller's wake. When the context ends first,
 // the slots still registered are taken back and failed with its error;
-// slots the read loop or a retry already owns finish promptly.
+// slots the read loop or a retry already owns finish promptly. A
+// detached call returns at once instead and leaves its slots to drain.
 func (m *call) wait() {
 	select {
 	case <-m.done:
 		return
 	case <-m.ctx.Done():
+	}
+	if m.detached {
+		return
 	}
 	m.cancel(m.ctx.Err())
 	<-m.done
@@ -296,7 +321,7 @@ func (m *call) deliver(i int, resp *wire.Response) {
 		c.retireRead(s.op.Server)
 	}
 	s.end = c.now()
-	m.complete(i, 0)
+	m.complete(i)
 }
 
 // fail resolves slot i's current dispatch with a transport error or the
@@ -314,17 +339,14 @@ func (m *call) fail(i int, err error) {
 	}
 	s.err = err
 	s.end = c.now()
-	var untried int32
-	if m.need > 0 {
-		untried = m.failover(err)
-	}
-	m.complete(i, untried)
+	m.complete(i)
 }
 
-// failover replaces a holder lost to a transport failure, while the
-// caller still waits, with the best-ranked holder not yet tried. Any
-// other failure gives up on the untried holders; it returns how many
-// that was. A write tries every holder at once, so it has none.
+// failover handles a failed slot of a threshold call. A transport
+// failure, while the caller still waits, is replaced by the best-ranked
+// holder not yet tried. Any other failure — a shed or server error
+// included — gives up on the untried holders; it returns how many that
+// was. A write tries every holder at once, so it has none.
 func (m *call) failover(err error) int32 {
 	n := int32(len(m.slots))
 	if m.left.Load() > 0 && m.spare.Load() > 0 &&
@@ -350,7 +372,7 @@ func (m *call) retry(i int, lastErr error) {
 	if c.retrySleep(m.ctx, s.attempts-1) != nil {
 		s.err = lastErr
 		s.end = c.now()
-		m.complete(i, 0)
+		m.complete(i)
 		return
 	}
 	c.cm.noteRetry()
@@ -416,6 +438,9 @@ func (m *call) dispatch(server sched.ServerID, idx []int, reqs []wire.Request) {
 		return
 	}
 	dl := deadlineBudget(m.ctx)
+	if m.detached {
+		dl = int64(c.backgroundTimeout())
+	}
 	for j, i := range idx {
 		reqs[j].ID = c.nextID.Add(1)
 		reqs[j].Tags = wireTags(&m.slots[i].op)

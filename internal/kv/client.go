@@ -695,14 +695,7 @@ func (c *Client) putBatch(ctx context.Context, ops []writeOp) (int, error) {
 	m := c.newCall(ctx, len(ops), false)
 	defer m.finish()
 	for i, wo := range ops {
-		s := &m.slots[i]
-		demand, size := c.demandFor(wire.OpPut, wo.key, len(wo.value))
-		s.op = sched.Op{Server: wo.server, Key: wo.key, Demand: demand}
-		s.op.Tags.SizeBytes = size
-		s.typ, s.sent = wire.OpPut, len(wo.value)
-		// Writes are tagged individually (fanout 1), matching the
-		// single-key path.
-		core.Tag(m.ops[i:i+1], c.taggingEst(), now)
+		m.prepare(i, wo.server, &wire.Request{Type: wire.OpPut, Key: wo.key, Value: wo.value}, now)
 	}
 	m.dispatchByServer(len(ops), func(i int) wire.Request {
 		wo := ops[i]
@@ -972,14 +965,10 @@ func (c *Client) ReplicaScores(key string) []replica.Score {
 func (c *Client) send(ctx context.Context, server sched.ServerID, req wire.Request) (*wire.Response, error) {
 	m := c.newCall(ctx, 1, false)
 	defer m.finish()
-	s := &m.slots[0]
-	demand, size := c.demandFor(req.Type, req.Key, len(req.Value))
-	s.op = sched.Op{Server: server, Key: req.Key, Demand: demand}
-	s.op.Tags.SizeBytes = size
-	s.typ, s.sent = req.Type, len(req.Value)
-	core.Tag(m.ops, c.taggingEst(), c.now())
+	m.prepare(0, server, &req, c.now())
 	m.dispatchByServer(1, func(int) wire.Request { return req })
 	m.wait()
+	s := &m.slots[0]
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -1102,12 +1091,6 @@ func (c *Client) dial(id sched.ServerID, addr string) (*clientConn, error) {
 	}
 	go cc.readLoop()
 	return cc, nil
-}
-
-func (cc *clientConn) writeRequest(req *wire.Request) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	return cc.w.WriteRequest(req)
 }
 
 // writeBatch sends a run of requests as one batch frame.

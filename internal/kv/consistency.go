@@ -137,6 +137,9 @@ func (c *Client) write(ctx context.Context, req wire.Request) (bool, error) {
 	firstErr := m.answers()
 	found := slices.ContainsFunc(m.reads, func(r replica.ReadResult) bool { return r.Found })
 	if len(m.reads) < w {
+		if firstErr == nil { // a detached write whose caller left first
+			firstErr = ctx.Err()
+		}
 		return found, fmt.Errorf("kv: %s write of %q: %d/%d holders acknowledged: %w",
 			req.Consistency, req.Key, len(m.reads), w, firstErr)
 	}

@@ -350,3 +350,152 @@ func TestQuorumCallStress(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// fakeHolder is a wire-speaking holder that answers every request it
+// reads with status and hands the request to seen, when set. It
+// returns the holder's address.
+func fakeHolder(t *testing.T, status wire.Status, seen chan<- wire.Request) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r, w := wire.NewReader(conn), wire.NewWriter(conn)
+				var reqs []wire.Request
+				for {
+					if _, err := r.ReadRequests(&reqs); err != nil {
+						return
+					}
+					for _, req := range reqs {
+						if seen != nil {
+							seen <- req
+						}
+						if w.WriteResponse(&wire.Response{ID: req.ID, Status: status}) != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestQuorumReadGivesUpOnHolderStatus checks that a QUORUM read whose
+// holder answers with a failing status — a deadline shed or a server
+// error — returns instead of waiting for an untried holder that is
+// never asked. Two real holders and one failing holder share every key;
+// a read that asks the failing holder first fails with its status,
+// the others report the key missing.
+func TestQuorumReadGivesUpOnHolderStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status wire.Status
+		is     func(error) bool
+	}{
+		{"shed", wire.StatusDeadlineExceeded, func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
+		{"error", wire.StatusError, func(err error) bool { return err != nil && strings.Contains(err.Error(), "server error") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := make(map[sched.ServerID]string, 3)
+			for i := range 2 {
+				srv, err := NewServer(ServerConfig{ID: sched.ServerID(i), Addr: "127.0.0.1:0", Replication: 3})
+				if err != nil {
+					t.Fatalf("NewServer %d: %v", i, err)
+				}
+				t.Cleanup(func() { _ = srv.Close() })
+				addrs[srv.ID()] = srv.Addr()
+			}
+			addrs[2] = fakeHolder(t, tc.status, nil)
+			// No request timeout: a read that waits for a holder nobody
+			// asked would wait forever.
+			client, err := NewClient(ClientConfig{Servers: addrs, Replicas: 3})
+			if err != nil {
+				t.Fatalf("NewClient: %v", err)
+			}
+			t.Cleanup(func() { _ = client.Close() })
+
+			statusFailures := 0
+			for k := range 16 {
+				key := fmt.Sprintf("status-%02d", k)
+				done := make(chan error, 1)
+				go func() {
+					_, err := client.GetLevel(context.Background(), key, wire.ConsistencyQuorum)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					switch {
+					case errors.Is(err, ErrNotFound):
+					case tc.is(err):
+						statusFailures++
+					default:
+						t.Fatalf("QUORUM read of %q: err = %v, want ErrNotFound or the holder's %s", key, err, tc.name)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("QUORUM read of %q still blocked after 5s", key)
+				}
+			}
+			if statusFailures == 0 {
+				t.Fatal("no read asked the failing holder")
+			}
+		})
+	}
+}
+
+// TestDetachedWriteCarriesDrainDeadline pins the deadline a write's
+// requests carry. A QUORUM write on three holders returns at two acks
+// and leaves the third to drain, so every holder gets the drain bound
+// (the request timeout), not the caller's shorter deadline; an ALL
+// write waits for every holder and carries the caller's deadline.
+func TestDetachedWriteCarriesDrainDeadline(t *testing.T) {
+	const timeout, callerBudget = 3 * time.Second, 500 * time.Millisecond
+	seen := make(chan wire.Request, 8) // more than the two puts send: the fake never blocks
+	addrs := make(map[sched.ServerID]string, 3)
+	for i := range 2 {
+		srv, err := NewServer(ServerConfig{ID: sched.ServerID(i), Addr: "127.0.0.1:0", Replication: 3})
+		if err != nil {
+			t.Fatalf("NewServer %d: %v", i, err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		addrs[srv.ID()] = srv.Addr()
+	}
+	addrs[2] = fakeHolder(t, wire.StatusOK, seen)
+	client, err := NewClient(ClientConfig{Servers: addrs, Replicas: 3, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+
+	for _, tc := range []struct {
+		level    wire.Consistency
+		min, max time.Duration
+	}{
+		{wire.ConsistencyQuorum, callerBudget, timeout},
+		{wire.ConsistencyAll, 0, callerBudget},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), callerBudget)
+		err := client.PutLevel(ctx, "k", []byte("v"), tc.level)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s put: %v", tc.level, err)
+		}
+		select {
+		case req := <-seen:
+			if dl := time.Duration(req.DeadlineNanos); dl <= tc.min || dl > tc.max {
+				t.Errorf("%s put carried a %v deadline, want in (%v, %v]", tc.level, dl, tc.min, tc.max)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s put never reached the recording holder", tc.level)
+		}
+	}
+}

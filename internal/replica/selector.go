@@ -1,9 +1,10 @@
 package replica
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -244,10 +245,17 @@ func (s *Selector) ScoreOf(c sched.ServerID, demand, now time.Duration) Score {
 // sorted best-first. The ranking matches what Adaptive would pick; the
 // oblivious policies ignore it when selecting.
 func (s *Selector) Scores(cands []sched.ServerID, demand, now time.Duration) []Score {
-	out := make([]Score, len(cands))
-	for i, c := range cands {
-		out[i] = s.score(c, demand, now)
+	return s.AppendScores(make([]Score, 0, len(cands)), cands, demand, now)
+}
+
+// AppendScores appends Scores' ranking of cands to dst and returns the
+// extended slice; each candidate is scored once, then the appended run
+// is sorted. It allocates only to grow dst.
+func (s *Selector) AppendScores(dst []Score, cands []sched.ServerID, demand, now time.Duration) []Score {
+	base := len(dst)
+	for _, c := range cands {
+		dst = append(dst, s.score(c, demand, now))
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Finish < out[j].Finish })
-	return out
+	slices.SortStableFunc(dst[base:], func(a, b Score) int { return cmp.Compare(a.Finish, b.Finish) })
+	return dst
 }
